@@ -43,8 +43,7 @@ main()
         endurance = std::make_unique<fault::EnduranceModel>(
             experiment.makeEndurance(llc_config));
         map = std::make_unique<fault::FaultMap>(
-            *endurance, hybrid::InsertionPolicy::create(policy)
-                            ->granularity());
+            *endurance, hybrid::InsertionPolicy(policy).granularity());
         hybrid::HybridLlc llc(llc_config, map.get());
         const auto agg = forecast::replayAllTraces(
             experiment.tracePtrs(), llc, config.timing, 0.2);

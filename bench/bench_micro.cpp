@@ -149,8 +149,7 @@ timePolicy(const replay::LlcTrace &trace,
         const fault::NvmGeometry geom{ config.numSets, config.nvmWays,
                                        blockBytes };
         const auto granularity =
-            hybrid::InsertionPolicy::create(config.policy, config.params)
-                ->granularity();
+            hybrid::InsertionPolicy(config.policy).granularity();
         const fault::EnduranceModel endurance(geom, { 1e12, 0.0 },
                                               Xoshiro256StarStar(1));
         fault::FaultMap map(endurance, granularity);

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "sim/experiment.hh"
@@ -23,17 +22,11 @@ namespace
 PolicyKind
 parsePolicy(const char *name)
 {
-    static const std::pair<const char *, PolicyKind> table[] = {
-        { "BH", PolicyKind::Bh },           { "BH_CP", PolicyKind::BhCp },
-        { "CA", PolicyKind::Ca },           { "CA_RWR", PolicyKind::CaRwr },
-        { "CP_SD", PolicyKind::CpSd },      { "CP_SD_Th", PolicyKind::CpSdTh },
-        { "LHybrid", PolicyKind::LHybrid }, { "TAP", PolicyKind::Tap },
-    };
-    for (const auto &[label, kind] : table) {
-        if (std::strcmp(name, label) == 0)
-            return kind;
-    }
-    fatal("unknown policy '%s'", name);
+    // The all-SRAM bound has no NVM to wear out.
+    const auto kind = hybrid::policyFromName(name);
+    if (!kind || *kind == PolicyKind::SramOnly)
+        fatal("unknown policy '%s'", name);
+    return *kind;
 }
 
 } // namespace

@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 
 #include "common/logging.hh"
@@ -23,18 +22,8 @@ namespace
 hybrid::PolicyKind
 parsePolicy(const char *name)
 {
-    using hybrid::PolicyKind;
-    static const std::pair<const char *, PolicyKind> table[] = {
-        { "BH", PolicyKind::Bh },         { "BH_CP", PolicyKind::BhCp },
-        { "CA", PolicyKind::Ca },         { "CA_RWR", PolicyKind::CaRwr },
-        { "CP_SD", PolicyKind::CpSd },    { "CP_SD_Th", PolicyKind::CpSdTh },
-        { "LHybrid", PolicyKind::LHybrid }, { "TAP", PolicyKind::Tap },
-        { "SRAM", PolicyKind::SramOnly },
-    };
-    for (const auto &[label, kind] : table) {
-        if (std::strcmp(name, label) == 0)
-            return kind;
-    }
+    if (const auto kind = hybrid::policyFromName(name))
+        return *kind;
     fatal("unknown policy '%s'", name);
 }
 

@@ -2,14 +2,14 @@
  * @file
  * The semantic analysis driver behind `hllc_lint`.
  *
- * analyzeTree() supersedes lint::lintTree() as the tool's engine: it
- * walks the same file set (lint::collectLintFiles), runs the token-
- * level rules (lint::lintSource) AND the per-file indexer
- * (analysis::buildFileIndex) over each file, merges the indexes into a
- * TreeIndex and runs the five semantic engines over it, honours the
- * same inline waivers and baseline, and reports through the same
- * Finding structure — so the CLI, JSON schema and baseline format stay
- * byte-compatible with the pre-semantic tool.
+ * analyzeTree() is the tool's engine: it walks the lint file set
+ * (lint::collectLintFiles), runs the token-level rules
+ * (lint::lintSource) AND the per-file indexer (analysis::buildFileIndex)
+ * over each file, merges the indexes into a TreeIndex and runs the five
+ * semantic engines over it, honours the inline waivers and baseline,
+ * and reports through the lint::Finding structure — so the CLI, JSON
+ * schema and baseline format stay byte-compatible with the
+ * pre-semantic tool.
  *
  * Incrementality: with a cache path set, the driver persists one
  * (content hash, FileIndex, token-level findings) record per file in a
@@ -32,7 +32,7 @@
 namespace hllc::analysis
 {
 
-/** analyzeTree() configuration — lint::RunOptions plus the cache. */
+/** analyzeTree() configuration. */
 struct RunOptions
 {
     /** Rule enablement forwarded to every engine. */

@@ -69,8 +69,7 @@ toString(const std::vector<DecisionRecord> &records)
 GoldenLlc::GoldenLlc(const hybrid::HybridLlcConfig &config,
                      GoldenOptions options)
     : config_(config), options_(options),
-      policy_(hybrid::InsertionPolicy::create(config.policy,
-                                              config.params)),
+      policy_(config.policy, config.params),
       sets_(config.numSets,
             std::vector<Way>(config.totalWays()))
 {
@@ -80,11 +79,11 @@ GoldenLlc::GoldenLlc(const hybrid::HybridLlcConfig &config,
     HLLC_ASSERT(config.replacement == hybrid::ReplacementKind::Lru,
                 "the golden model only covers LRU replacement");
 
-    if (policy_->usesSetDueling()) {
+    if (policy_.usesSetDueling()) {
         dueling_ = std::make_unique<hybrid::SetDueling>(
             config.numSets, compression::cpthCandidates(),
-            config.epochCycles, policy_->thPercent(),
-            policy_->twPercent());
+            config.epochCycles, policy_.thPercent(),
+            policy_.twPercent());
     }
 }
 
@@ -107,7 +106,7 @@ GoldenLlc::storedSize(std::uint32_t w, unsigned ecb) const
 {
     // SRAM always holds raw blocks; NVM holds the ECB when the policy
     // compresses, raw frames otherwise.
-    if (isNvmWay(w) && policy_->usesCompression())
+    if (isNvmWay(w) && policy_.usesCompression())
         return ecb;
     return static_cast<unsigned>(blockBytes);
 }
@@ -278,7 +277,7 @@ GoldenLlc::insert(Addr block, bool dirty, unsigned ecb,
         block, dirty, ecb, classOf(block), hitsOf(block), set, cpth,
     };
 
-    if (policy_->globalReplacement()) {
+    if (policy_.globalReplacement()) {
         // BH / BH_CP / SRAM bounds: one LRU over every way.
         const int w = victimWay(set, 0, config_.totalWays());
         if (w < 0) {
@@ -290,7 +289,7 @@ GoldenLlc::insert(Addr block, bool dirty, unsigned ecb,
         return;
     }
 
-    Part part = policy_->choosePart(ctx);
+    Part part = policy_.choosePart(ctx);
 
     if (part == Part::Nvm) {
         const int w = config_.nvmWays == 0
@@ -321,7 +320,7 @@ GoldenLlc::insert(Addr block, bool dirty, unsigned ecb,
     }
 
     if (w < 0) {
-        if (policy_->lhybridSramReplacement()) {
+        if (policy_.lhybridSramReplacement()) {
             // LHybrid: migrate the MRU loop-block to NVM to free its
             // frame; otherwise evict the plain LRU (paper Sec. II-C).
             int lb = -1;
@@ -344,7 +343,7 @@ GoldenLlc::insert(Addr block, bool dirty, unsigned ecb,
             w = victimWay(set, 0, config_.sramWays);
             HLLC_ASSERT(w >= 0);
             const Way &victim = sets_[set][static_cast<std::uint32_t>(w)];
-            if (policy_->migrateReadReuseOnSramEviction() && victim.valid &&
+            if (policy_.migrateReadReuseOnSramEviction() && victim.valid &&
                 classOf(victim.blockNum) == ReuseClass::Read) {
                 // CA_RWR: read-reused SRAM victims move to NVM instead
                 // of leaving the LLC (paper Sec. IV-B).

@@ -143,7 +143,7 @@ class GoldenLlc
 
     hybrid::HybridLlcConfig config_;
     GoldenOptions options_;
-    std::unique_ptr<hybrid::InsertionPolicy> policy_;
+    hybrid::InsertionPolicy policy_;
     std::unique_ptr<hybrid::SetDueling> dueling_;
     std::vector<std::vector<Way>> sets_;
     std::map<Addr, Reuse> reuse_;

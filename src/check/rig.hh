@@ -35,13 +35,12 @@ makeFastRig(const hybrid::HybridLlcConfig &config)
     if (config.nvmWays > 0) {
         const fault::NvmGeometry geom{ config.numSets, config.nvmWays,
                                        blockBytes };
-        const auto policy =
-            hybrid::InsertionPolicy::create(config.policy, config.params);
         rig.endurance = std::make_unique<fault::EnduranceModel>(
             geom, fault::EnduranceParams{ 1e15, 0.0 },
             Xoshiro256StarStar(1));
-        rig.map = std::make_unique<fault::FaultMap>(*rig.endurance,
-                                                    policy->granularity());
+        rig.map = std::make_unique<fault::FaultMap>(
+            *rig.endurance,
+            hybrid::InsertionPolicy(config.policy).granularity());
     }
     rig.llc = std::make_unique<hybrid::HybridLlc>(config, rig.map.get());
     return rig;

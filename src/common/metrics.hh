@@ -16,9 +16,10 @@
  *    stable schema ("hllc-stats-v1") that plotting scripts and CI can
  *    rely on;
  *  - PhaseTimers: gated scoped wall-clock timers around the simulator's
- *    hot phases (compression, fault-map aging, replacement, checkpoint
- *    writes) so grid wall-clock can be attributed. Disabled (and free)
- *    unless HLLC_TIMERS=1; timing never influences simulation results.
+ *    hot phases (compression during trace capture, fault-map aging,
+ *    checkpoint writes) so grid wall-clock can be attributed. Disabled
+ *    (and free) unless HLLC_TIMERS=1; timing never influences
+ *    simulation results.
  *
  * All numbers are emitted via common/numfmt.hh, so a de_DE process
  * locale cannot turn "0.25" into "0,25".
@@ -192,7 +193,6 @@ enum class Phase : unsigned
 {
     Compression,      //!< block compression during trace capture
     FaultMapAge,      //!< fault-map wear application / revalidation
-    Replacement,      //!< victim search in the hybrid LLC
     CheckpointWrite,  //!< forecast checkpoint serialisation + I/O
     Count
 };

@@ -330,12 +330,11 @@ ForecastEngine::loadCheckpoint(const std::string &path,
 std::vector<ForecastPoint>
 ForecastEngine::run(const RunOptions &options)
 {
-    const auto policy =
-        hybrid::InsertionPolicy::create(llcConfig_.policy,
-                                        llcConfig_.params);
+    const auto granularity =
+        hybrid::InsertionPolicy(llcConfig_.policy).granularity();
     const auto make_map = [&] {
         return std::make_unique<fault::FaultMap>(
-            endurance_, policy->granularity(), config_.wearDistribution);
+            endurance_, granularity, config_.wearDistribution);
     };
     auto map = make_map();
     auto llc = std::make_unique<hybrid::HybridLlc>(

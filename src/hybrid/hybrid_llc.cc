@@ -59,8 +59,7 @@ constexpr const char *llcCounterNames[] = {
 HybridLlc::HybridLlc(const HybridLlcConfig &config,
                      fault::FaultMap *fault_map)
     : config_(config),
-      policy_(InsertionPolicy::create(config.policy, config.params)),
-      engine_(*policy_, config.params),
+      policy_(config.policy, config.params),
       faultMap_(fault_map),
       ways_(config.totalWays()),
       tags_(static_cast<std::size_t>(config.numSets) *
@@ -70,7 +69,7 @@ HybridLlc::HybridLlc(const HybridLlcConfig &config,
       ecb_(tags_.size(), 0),
       rrpv_(tags_.size(), 0),
       lru_(config.numSets, config.totalWays()),
-      stats_(std::string("llc_") + std::string(policy_->name()))
+      stats_(std::string("llc_") + std::string(policy_.name()))
 {
     HLLC_ASSERT(config.numSets > 0 &&
                 (config.numSets & (config.numSets - 1)) == 0,
@@ -83,17 +82,17 @@ HybridLlc::HybridLlc(const HybridLlcConfig &config,
         HLLC_ASSERT(faultMap_->geometry().numSets == config.numSets &&
                     faultMap_->geometry().numNvmWays == config.nvmWays,
                     "fault-map geometry mismatch");
-        HLLC_ASSERT(faultMap_->granularity() == policy_->granularity(),
+        HLLC_ASSERT(faultMap_->granularity() == policy_.granularity(),
                     "policy %s needs %s disabling",
-                    std::string(policy_->name()).c_str(),
-                    policy_->usesCompression() ? "byte" : "frame");
+                    std::string(policy_.name()).c_str(),
+                    policy_.usesCompression() ? "byte" : "frame");
     }
 
-    if (policy_->usesSetDueling()) {
+    if (policy_.usesSetDueling()) {
         dueling_ = std::make_unique<SetDueling>(
             config.numSets, compression::cpthCandidates(),
-            config.epochCycles, policy_->thPercent(),
-            policy_->twPercent());
+            config.epochCycles, policy_.thPercent(),
+            policy_.twPercent());
     }
 
     for (const char *name : llcCounterNames)
@@ -321,9 +320,7 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
         break;
     }
 
-    const PolicyTraits &traits = engine_.traits();
-
-    if (traits.globalReplacement) {
+    if (policy_.globalReplacement()) {
         // BH / BH_CP / SRAM bounds: one (Fit-)LRU across all ways.
         const int way = victimWay(set, 0, ways_, ecb);
         if (way < 0) {
@@ -340,7 +337,7 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
         return;
     }
 
-    Part part = engine_.choosePart(ctx);
+    Part part = policy_.choosePart(ctx);
 
     if (part == Part::Nvm) {
         const int way = config_.nvmWays == 0
@@ -377,7 +374,7 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
     }
 
     if (way < 0) {
-        if (traits.lhybridSramReplacement) {
+        if (policy_.lhybridSramReplacement()) {
             // LHybrid: migrate the MRU loop-block to NVM to free a frame;
             // otherwise evict the LRU (paper Sec. II-C).
             const int lb_way =
@@ -401,7 +398,7 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
             HLLC_ASSERT(way >= 0);
             const std::size_t vi =
                 index(set, static_cast<std::uint32_t>(way));
-            if (traits.migrateReadReuseOnSramEviction && valid_[vi] &&
+            if (policy_.migrateReadReuseOnSramEviction() && valid_[vi] &&
                 tracker_.classOf(tags_[vi]) == ReuseClass::Read) {
                 // CA_RWR: a read-reused SRAM victim moves to NVM instead
                 // of leaving the LLC (paper Sec. IV-B).

@@ -21,9 +21,8 @@
  * tag row instead of striding over 24-byte line records; every stats
  * counter the event paths bump is resolved to a Counter pointer once at
  * construction (std::map nodes are pointer-stable) so no per-event
- * string-keyed map lookups remain; and insertion decisions dispatch
- * through the inline PolicyEngine variant instead of the virtual
- * InsertionPolicy (kept for configuration and introspection).
+ * string-keyed map lookups remain; and the insertion policy is held by
+ * value, so its steering switch and trait reads inline into insert().
  */
 
 #ifndef HLLC_HYBRID_HYBRID_LLC_HH
@@ -36,7 +35,6 @@
 #include "common/stats.hh"
 #include "fault/fault_map.hh"
 #include "hybrid/insertion_policy.hh"
-#include "hybrid/policy_engine.hh"
 #include "hybrid/reuse_tracker.hh"
 #include "hybrid/set_dueling.hh"
 #include "hybrid/types.hh"
@@ -157,7 +155,7 @@ class HybridLlc
     /** @name Introspection */
     ///@{
     const HybridLlcConfig &config() const { return config_; }
-    const InsertionPolicy &policy() const { return *policy_; }
+    const InsertionPolicy &policy() const { return policy_; }
     bool contains(Addr block) const;
     /** Part holding @p block, if resident. */
     std::optional<Part> partOf(Addr block) const;
@@ -249,7 +247,7 @@ class HybridLlc
     {
         // SRAM stores blocks uncompressed; NVM stores the ECB when the
         // policy compresses, raw frames otherwise.
-        if (isNvmWay(way) && engine_.traits().usesCompression)
+        if (isNvmWay(way) && policy_.usesCompression())
             return ecb;
         return blockBytes;
     }
@@ -302,8 +300,7 @@ class HybridLlc
     };
 
     HybridLlcConfig config_;
-    std::unique_ptr<InsertionPolicy> policy_;
-    PolicyEngine engine_;
+    InsertionPolicy policy_;
     fault::FaultMap *faultMap_;
     LlcProbe *probe_ = nullptr;
 

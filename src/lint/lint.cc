@@ -4,13 +4,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <set>
 
 #include "common/error.hh"
 #include "common/numfmt.hh"
-#include "common/serialize.hh"
 
 namespace fs = std::filesystem;
 
@@ -26,14 +24,6 @@ lintableExtension(const fs::path &path)
     const std::string ext = path.extension().string();
     return ext == ".cc" || ext == ".cpp" || ext == ".hh" ||
            ext == ".h" || ext == ".hpp";
-}
-
-std::string
-readFile(const fs::path &path)
-{
-    const std::vector<std::uint8_t> bytes =
-        serial::readFileBytes(path.string());
-    return std::string(bytes.begin(), bytes.end());
 }
 
 /** `file|rule|line-text` — see formatBaseline(). */
@@ -189,49 +179,6 @@ subtractBaseline(const std::string &baselineText, RunResult &result)
     }
     result.findings = std::move(kept);
     result.staleBaseline = baseline.size();
-}
-
-RunResult
-lintTree(const std::string &root, const RunOptions &options)
-{
-    RunResult result;
-    const fs::path root_path = root.empty() ? fs::path(".")
-                                            : fs::path(root);
-    const std::vector<std::string> files =
-        collectLintFiles(root, options.paths);
-
-    std::map<std::string, std::vector<std::string>> include_graph;
-    for (const std::string &file : files) {
-        const std::string content = readFile(root_path / file);
-        std::vector<Finding> found =
-            lintSource(file, content, options.rules);
-        result.findings.insert(result.findings.end(),
-                               std::make_move_iterator(found.begin()),
-                               std::make_move_iterator(found.end()));
-        ++result.filesScanned;
-        // Only headers participate in cycles; sources are graph leaves.
-        if (file.size() > 3 &&
-            file.compare(file.size() - 3, 3, ".hh") == 0) {
-            std::vector<std::string> edges;
-            for (const std::string &inc : projectIncludes(content))
-                edges.push_back("src/" + inc);
-            include_graph[file] = std::move(edges);
-        }
-    }
-    if (options.rules.ruleEnabled("include-graph"))
-        checkIncludeCycles(include_graph, result.findings);
-
-    if (!options.baselinePath.empty()) {
-        subtractBaseline(readFile(root_path / options.baselinePath),
-                         result);
-    }
-
-    std::stable_sort(result.findings.begin(), result.findings.end(),
-                     [](const Finding &a, const Finding &b) {
-                         return a.file != b.file ? a.file < b.file
-                                                 : a.line < b.line;
-                     });
-    return result;
 }
 
 std::string

@@ -1,15 +1,16 @@
 /**
  * @file
- * The `hllc_lint` driver: tree walking, the cross-file include graph,
- * baseline handling and the text/JSON reporters.
+ * Tree-level pieces of `hllc_lint` shared with the analysis/ driver:
+ * the file walk, the cross-file include-cycle check, baseline handling
+ * and the text/JSON reporters.
  *
- * The per-file engines live in lint/rules.hh; this layer adds what
- * needs more than one file: walking `src/ tools/ bench/ tests/
- * examples/`, detecting include cycles among project headers, and
- * subtracting a checked-in baseline so pre-existing findings can be
- * burned down without blocking CI. Baseline entries fingerprint the
- * offending line's text, not its number, so unrelated edits above a
- * waived line do not resurrect it.
+ * The per-file engines live in lint/rules.hh and the driver that runs
+ * everything over a tree is analysis::analyzeTree(). This layer walks
+ * `src/ tools/ bench/ tests/ examples/`, detects include cycles among
+ * project headers, and subtracts a checked-in baseline so pre-existing
+ * findings can be burned down without blocking CI. Baseline entries
+ * fingerprint the offending line's text, not its number, so unrelated
+ * edits above a waived line do not resurrect it.
  */
 
 #ifndef HLLC_LINT_LINT_HH
@@ -24,20 +25,6 @@
 namespace hllc::lint
 {
 
-/** A whole-run configuration. */
-struct RunOptions
-{
-    /** Rule enablement forwarded to lintSource(). */
-    Options rules;
-    /**
-     * Directories (or single files) to lint, relative to the root.
-     * Empty means the project default: src tools bench tests examples.
-     */
-    std::vector<std::string> paths;
-    /** Baseline file path ("" = no baseline). */
-    std::string baselinePath;
-};
-
 /** Outcome of linting a tree. */
 struct RunResult
 {
@@ -49,13 +36,6 @@ struct RunResult
     std::size_t staleBaseline = 0;
     std::size_t filesScanned = 0;
 };
-
-/**
- * Lint every C++ source below @p root limited to @p options.paths.
- * Throws hllc::IoError when the root, a requested path, or the baseline
- * file cannot be read.
- */
-RunResult lintTree(const std::string &root, const RunOptions &options);
 
 /**
  * Sorted, de-duplicated repo-relative paths of every lintable C++ file

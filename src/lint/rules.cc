@@ -657,20 +657,4 @@ parseWaivers(const std::string &content)
                           Options{});
 }
 
-std::vector<std::string>
-projectIncludes(const std::string &content)
-{
-    std::vector<std::string> out;
-    for (const Token &tok : lex(content)) {
-        if (tok.kind != TokKind::Directive || tok.text != "include")
-            continue;
-        if (tok.payload.size() >= 2 && tok.payload.front() == '"' &&
-            tok.payload.back() == '"') {
-            out.push_back(
-                tok.payload.substr(1, tok.payload.size() - 2));
-        }
-    }
-    return out;
-}
-
 } // namespace hllc::lint

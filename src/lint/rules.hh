@@ -94,12 +94,6 @@ std::vector<Finding> lintSource(const std::string &path,
                                 const Options &options = {});
 
 /**
- * Project-internal `#include "..."` targets of @p content, for the
- * cross-file include-graph checks in lint.hh.
- */
-std::vector<std::string> projectIncludes(const std::string &content);
-
-/**
  * One `hllc-lint: allow(...)` waiver and the line range it covers (a
  * comment sharing its line with code covers that line; a standalone
  * comment covers the next line holding code).

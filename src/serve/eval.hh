@@ -21,12 +21,12 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <tuple>
 
 #include "common/sync.hh"
 #include "common/thread_annotations.hh"
+#include "hybrid/insertion_policy.hh"
 #include "replay/llc_trace.hh"
 #include "serve/protocol.hh"
 #include "sim/config.hh"
@@ -43,8 +43,8 @@ struct EvalLimits
     std::size_t traceCacheEntries = 16;
 };
 
-/** Resolve a wire policy name; nullopt for unknown names. */
-std::optional<hybrid::PolicyKind> policyFromName(const std::string &name);
+/** Wire policy names are the paper labels of hybrid::policyTable. */
+using hybrid::policyFromName;
 
 class Evaluator
 {

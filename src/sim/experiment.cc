@@ -114,10 +114,8 @@ Experiment::runPhase(const hybrid::HybridLlcConfig &llc, std::string label,
     if (llc.nvmWays > 0) {
         endurance =
             std::make_unique<fault::EnduranceModel>(makeEndurance(llc));
-        const auto policy =
-            hybrid::InsertionPolicy::create(llc.policy, llc.params);
-        map = std::make_unique<fault::FaultMap>(*endurance,
-                                                policy->granularity());
+        map = std::make_unique<fault::FaultMap>(
+            *endurance, hybrid::InsertionPolicy(llc.policy).granularity());
         if (capacity < 1.0)
             degradeUniform(*map, capacity, config_.seed ^ 0xdeadULL);
     }

@@ -17,7 +17,7 @@ System::System(const SystemConfig &config, const workload::MixSpec &mix,
         endurance_ = std::make_unique<fault::EnduranceModel>(
             config.nvmGeometry(), config.endurance, rng);
         const auto granularity =
-            hybrid::InsertionPolicy::create(policy, params)->granularity();
+            hybrid::InsertionPolicy(policy, params).granularity();
         faultMap_ = std::make_unique<fault::FaultMap>(*endurance_,
                                                       granularity);
     }

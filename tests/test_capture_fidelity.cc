@@ -52,7 +52,7 @@ makeLlc(PolicyKind policy)
         Xoshiro256StarStar(9));
     rig.map = std::make_unique<fault::FaultMap>(
         *rig.endurance,
-        hybrid::InsertionPolicy::create(policy)->granularity());
+        hybrid::InsertionPolicy(policy).granularity());
     rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
     return rig;
 }

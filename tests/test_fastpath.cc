@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential byte-identity tests pinning the fast replay paths to
- * their brute-force references: the SoA/static-dispatch LLC against the
+ * their brute-force references: the SoA-tag-store LLC against the
  * golden shadow model over a large fuzzed trace, the lane-analysis BDI
  * compressor against the per-CE applicability checkers and the
  * independent reference decoder over the boundary-payload corpus, and
@@ -55,9 +55,9 @@ smallConfig(PolicyKind policy)
 }
 
 // A long fuzzed trace (scaled from the 1M-event acceptance run so the
-// suite stays fast) replayed through the SoA tag store, PolicyEngine
-// static dispatch and inline Set Dueling accessors must agree with the
-// brute-force golden shadow decision-for-decision.
+// suite stays fast) replayed through the SoA tag store, the inlined
+// policy-table steering and inline Set Dueling accessors must agree with
+// the brute-force golden shadow decision-for-decision.
 TEST(FastPath, LargeFuzzedTraceMatchesGoldenShadow)
 {
     const replay::LlcTrace trace = check::generateTrace(0xFA57, 250'000, 32);

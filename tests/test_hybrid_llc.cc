@@ -56,7 +56,7 @@ makeRig(PolicyKind policy, std::uint32_t sram_ways = 2,
             Xoshiro256StarStar(1));
         rig.map = std::make_unique<FaultMap>(
             *rig.endurance,
-            InsertionPolicy::create(policy, params)->granularity());
+            InsertionPolicy(policy, params).granularity());
     }
     rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
     return rig;

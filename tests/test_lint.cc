@@ -17,6 +17,7 @@
 #include <vector>
 #include <unistd.h>
 
+#include "analysis/analysis.hh"
 #include "common/error.hh"
 #include "common/numfmt.hh"
 #include "common/serialize.hh"
@@ -442,15 +443,28 @@ class TempTree
     fs::path root_;
 };
 
+/** analyzeTree() options over @p paths with no incremental cache. */
+analysis::RunOptions
+treeOptions(std::vector<std::string> paths)
+{
+    analysis::RunOptions options;
+    options.paths = std::move(paths);
+    options.cachePath = "";
+    return options;
+}
+
 TEST(LintTree, WalksFindsAndBaselines)
 {
     TempTree tree;
     tree.add("src/cache/clean.cc", "int f() { return 1; }\n");
     tree.add("src/cache/bad.cc", "int g() { return rand(); }\n");
 
-    lint::RunOptions options;
-    options.paths = { "src" };
-    const lint::RunResult first = lint::lintTree(tree.rootStr(), options);
+    analysis::RunOptions options = treeOptions({ "src" });
+    // rand() is also an rng-discipline finding; one rule is enough to
+    // exercise the walk and the baseline.
+    options.rules = without("rng-discipline");
+    const lint::RunResult first =
+        analysis::analyzeTree(tree.rootStr(), options);
     ASSERT_EQ(first.findings.size(), 1u);
     EXPECT_EQ(first.findings[0].file, "src/cache/bad.cc");
     EXPECT_EQ(first.findings[0].rule, "determinism");
@@ -464,7 +478,7 @@ TEST(LintTree, WalksFindsAndBaselines)
              "src/cache/clean.cc|locale|gone line\n");
     options.baselinePath = "baseline.txt";
     const lint::RunResult second =
-        lint::lintTree(tree.rootStr(), options);
+        analysis::analyzeTree(tree.rootStr(), options);
     EXPECT_TRUE(second.findings.empty());
     EXPECT_EQ(second.baselined, 1u);
     EXPECT_EQ(second.staleBaseline, 1u);
@@ -480,10 +494,9 @@ TEST(LintTree, DetectsHeaderIncludeCycles)
              "#ifndef HLLC_CACHE_B_HH\n#define HLLC_CACHE_B_HH\n"
              "#include \"cache/a.hh\"\n#endif\n");
 
-    lint::RunOptions options;
-    options.paths = { "src" };
+    analysis::RunOptions options = treeOptions({ "src" });
     const lint::RunResult result =
-        lint::lintTree(tree.rootStr(), options);
+        analysis::analyzeTree(tree.rootStr(), options);
     bool cycle_reported = false;
     for (const lint::Finding &finding : result.findings) {
         if (finding.rule == "include-graph" &&
@@ -495,16 +508,16 @@ TEST(LintTree, DetectsHeaderIncludeCycles)
 
     // The cycle detector is rule include-graph and obeys its switch.
     options.rules = without("include-graph");
-    EXPECT_TRUE(lint::lintTree(tree.rootStr(), options).findings.empty());
+    EXPECT_TRUE(
+        analysis::analyzeTree(tree.rootStr(), options).findings.empty());
 }
 
 TEST(LintTree, MissingPathThrows)
 {
     TempTree tree;
     tree.add("src/ok.cc", "int f();\n");
-    lint::RunOptions options;
-    options.paths = { "no_such_dir" };
-    EXPECT_THROW(lint::lintTree(tree.rootStr(), options), IoError);
+    const analysis::RunOptions options = treeOptions({ "no_such_dir" });
+    EXPECT_THROW(analysis::analyzeTree(tree.rootStr(), options), IoError);
 }
 
 TEST(LintReport, TextAndJsonShapes)

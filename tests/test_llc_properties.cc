@@ -51,7 +51,7 @@ makeRig(PolicyKind policy, bool degraded)
             Xoshiro256StarStar(7));
         rig.map = std::make_unique<fault::FaultMap>(
             *rig.endurance,
-            InsertionPolicy::create(policy)->granularity());
+            InsertionPolicy(policy).granularity());
         if (degraded) {
             // Random byte faults down to ~70% capacity.
             Xoshiro256StarStar rng(11);

@@ -292,7 +292,7 @@ TEST(Metrics, PhaseTimersGateOnEnabled)
     const std::string report = metrics::PhaseTimers::report();
     EXPECT_NE(report.find("timer.compression calls=1"),
               std::string::npos);
-    EXPECT_NE(report.find("timer.replacement calls=0"),
+    EXPECT_NE(report.find("timer.checkpoint_write calls=0"),
               std::string::npos);
 
     metrics::PhaseTimers::reset();
@@ -335,7 +335,7 @@ makeLlc()
         Xoshiro256StarStar(5));
     rig.map = std::make_unique<fault::FaultMap>(
         *rig.endurance,
-        hybrid::InsertionPolicy::create(config.policy)->granularity());
+        hybrid::InsertionPolicy(config.policy).granularity());
     rig.llc = std::make_unique<hybrid::HybridLlc>(config, rig.map.get());
     return rig;
 }

@@ -82,17 +82,8 @@ usage(const char *prog)
 PolicyKind
 parsePolicy(const std::string &name)
 {
-    static const std::pair<const char *, PolicyKind> table[] = {
-        { "BH", PolicyKind::Bh },           { "BH_CP", PolicyKind::BhCp },
-        { "CA", PolicyKind::Ca },           { "CA_RWR", PolicyKind::CaRwr },
-        { "CP_SD", PolicyKind::CpSd },      { "CP_SD_Th", PolicyKind::CpSdTh },
-        { "LHybrid", PolicyKind::LHybrid }, { "TAP", PolicyKind::Tap },
-        { "SRAM", PolicyKind::SramOnly },
-    };
-    for (const auto &[label, kind] : table) {
-        if (name == label)
-            return kind;
-    }
+    if (const auto kind = hybrid::policyFromName(name))
+        return *kind;
     fatal("unknown policy '%s'", name.c_str());
 }
 
@@ -222,7 +213,7 @@ runDiffGolden(const Options &opt)
             const check::GoldenDiffResult diff =
                 check::diffGolden(trace, llc, mode, golden);
             const std::string_view policy_name =
-                hybrid::InsertionPolicy::create(policy, llc.params)->name();
+                hybrid::policyName(policy);
             if (diff.ok()) {
                 std::printf("ok   %-8s %-15s (%llu events)\n",
                             std::string(policy_name).c_str(),

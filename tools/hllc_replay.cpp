@@ -41,17 +41,8 @@ namespace
 PolicyKind
 parsePolicy(const std::string &name)
 {
-    static const std::pair<const char *, PolicyKind> table[] = {
-        { "BH", PolicyKind::Bh },           { "BH_CP", PolicyKind::BhCp },
-        { "CA", PolicyKind::Ca },           { "CA_RWR", PolicyKind::CaRwr },
-        { "CP_SD", PolicyKind::CpSd },      { "CP_SD_Th", PolicyKind::CpSdTh },
-        { "LHybrid", PolicyKind::LHybrid }, { "TAP", PolicyKind::Tap },
-        { "SRAM", PolicyKind::SramOnly },
-    };
-    for (const auto &[label, kind] : table) {
-        if (name == label)
-            return kind;
-    }
+    if (const auto kind = hybrid::policyFromName(name))
+        return *kind;
     fatal("unknown policy '%s'", name.c_str());
 }
 
@@ -193,9 +184,9 @@ main(int argc, char **argv)
                     config.nvmGeometry(), config.endurance,
                     Xoshiro256StarStar(config.seed));
                 map = std::make_unique<fault::FaultMap>(
-                    *endurance, hybrid::InsertionPolicy::create(
-                                    llc_config.policy, llc_config.params)
-                                    ->granularity());
+                    *endurance,
+                    hybrid::InsertionPolicy(llc_config.policy)
+                        .granularity());
             }
             hybrid::HybridLlc llc(llc_config, map.get());
 
