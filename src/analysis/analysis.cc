@@ -22,7 +22,7 @@ namespace
 constexpr std::uint32_t kCacheMagic = 0x484c4e54u;
 constexpr std::uint32_t kCacheVersion = 1;
 /** Bump whenever indexer or engine semantics change. */
-constexpr std::uint32_t kEngineVersion = 1;
+constexpr std::uint32_t kEngineVersion = 2;
 
 std::string
 readFile(const fs::path &path)

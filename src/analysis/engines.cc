@@ -285,20 +285,14 @@ checkRngDiscipline(const TreeIndex &tree,
     static const char *const rule = "rng-discipline";
 
     for (const FileIndex &file : tree.files) {
-        if (startsWith(file.path, "src/common/rng."))
+        // The seeding contract binds the stream-scoped layers only.
+        if (!startsWith(file.path, "src/sim/") &&
+            !startsWith(file.path, "src/serve/") &&
+            !startsWith(file.path, "src/ingest/")) {
             continue;
-        const bool stream_scoped = startsWith(file.path, "src/sim/") ||
-                                   startsWith(file.path, "src/serve/") ||
-                                   startsWith(file.path, "src/ingest/");
+        }
         for (const RngSite &site : file.rngSites) {
-            if (site.banned) {
-                report(findings, file.path, site.line, rule,
-                       "'" + site.name + "' outside common/rng: all"
-                       " randomness must flow through the"
-                       " Xoshiro256StarStar stream tree");
-                continue;
-            }
-            if (stream_scoped && !seedDerived(site.seedIdents)) {
+            if (!seedDerived(site.seedIdents)) {
                 report(findings, file.path, site.line, rule,
                        "Xoshiro256StarStar here is not seeded from"
                        " childStream/childSeed/fork or a seed-derived"

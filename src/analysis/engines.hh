@@ -17,11 +17,11 @@
  *    function annotated HLLC_REQUIRES(m), or the owning class's
  *    constructor/destructor). This is the GCC-side stand-in for
  *    Clang's -Wthread-safety, which only the clang-tsa CI job runs.
- *  - `rng-discipline`: no std::mt19937 / rand() / random_device
- *    anywhere outside common/rng, and Xoshiro256StarStar constructions
- *    in sim/serve/ingest must be seeded from childStream / childSeed /
+ *  - `rng-discipline`: Xoshiro256StarStar constructions in
+ *    sim/serve/ingest must be seeded from childStream / childSeed /
  *    fork / a seed-derived expression — ad hoc seeds fork the
- *    determinism contract silently.
+ *    determinism contract silently. (Banned generators such as
+ *    std::mt19937 / rand() are the `determinism` token rule's.)
  *  - `schema-drift`: the literal JSON keys each hllc-*-v1 exporter
  *    emits must equal the schema-keys table in EXPERIMENTS.md —
  *    renaming or adding an export field without documenting it is a

@@ -483,21 +483,8 @@ Indexer::handleIdent(std::size_t i)
             out.syscalls.push_back({ tok.text, tok.line });
     }
 
-    // rng-discipline sites.
-    static const std::set<std::string> banned_engines = {
-        "mt19937",      "mt19937_64",    "random_device",
-        "default_random_engine",          "minstd_rand",
-        "minstd_rand0", "ranlux24",      "ranlux48",
-        "knuth_b",
-    };
-    static const std::set<std::string> banned_calls = {
-        "rand", "srand", "rand_r", "drand48", "lrand48", "mrand48",
-    };
-    if (!memberAccessBefore(code, i) &&
-        (banned_engines.count(tok.text) != 0 ||
-         (banned_calls.count(tok.text) != 0 && called))) {
-        out.rngSites.push_back({ tok.text, tok.line, {}, true });
-    }
+    // rng-discipline sites (banned generators are the determinism
+    // rule's: lint/rules.cc).
     if (tok.text == "Xoshiro256StarStar" &&
         !memberAccessBefore(code, i)) {
         // `Xoshiro256StarStar rng(expr)` / `... rng = expr;` /
@@ -773,7 +760,6 @@ encodeFileIndex(serial::Encoder &enc, const FileIndex &index)
     for (const RngSite &site : index.rngSites) {
         enc.str(site.name);
         enc.u32(static_cast<std::uint32_t>(site.line));
-        enc.u8(site.banned ? 1 : 0);
         enc.u64(site.seedIdents.size());
         for (const std::string &ident : site.seedIdents)
             enc.str(ident);
@@ -872,7 +858,6 @@ decodeFileIndex(serial::Decoder &dec)
         RngSite site;
         site.name = dec.str();
         site.line = static_cast<int>(dec.u32());
-        site.banned = dec.u8() != 0;
         for (std::uint64_t m = dec.u64(); m != 0; --m)
             site.seedIdents.push_back(dec.str());
         index.rngSites.push_back(std::move(site));

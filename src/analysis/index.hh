@@ -117,14 +117,13 @@ struct LockScope
     int endLine = 0;
 };
 
-/** One RNG construction / banned-generator use for rng-discipline. */
+/** One seeding Xoshiro256StarStar construction, for rng-discipline. */
 struct RngSite
 {
-    std::string name; //!< Xoshiro256StarStar, mt19937, rand, ...
+    std::string name; //!< Xoshiro256StarStar
     int line = 0;
-    /** Identifiers in the initializer (empty for banned generators). */
+    /** Identifiers in the initializer. */
     std::vector<std::string> seedIdents;
-    bool banned = false; //!< a generator that is never allowed here
 };
 
 /** One literal JSON object key (`\"key\":`) inside a string literal. */

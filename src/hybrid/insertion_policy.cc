@@ -19,6 +19,24 @@ policyFromName(std::string_view name)
     return std::nullopt;
 }
 
+std::optional<std::vector<PolicyKind>>
+policiesFromList(std::string_view list)
+{
+    std::vector<PolicyKind> kinds;
+    while (!list.empty()) {
+        const std::size_t comma = list.find(',');
+        const auto kind = policyFromName(list.substr(0, comma));
+        if (!kind)
+            return std::nullopt;
+        kinds.push_back(*kind);
+        list.remove_prefix(comma == std::string_view::npos ? list.size()
+                                                           : comma + 1);
+    }
+    if (kinds.empty())
+        return std::nullopt;
+    return kinds;
+}
+
 InsertionPolicy::InsertionPolicy(PolicyKind kind, const PolicyParams &params)
     : spec_(policySpec(kind)), tapThreshold_(params.tapThreshold),
       thPercent_(spec_.thTw == ThTwSource::Params ? params.thPercent : 0.0),

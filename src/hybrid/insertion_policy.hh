@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "fault/fault_map.hh"
 #include "hybrid/types.hh"
@@ -143,6 +144,14 @@ policySpec(PolicyKind kind)
 
 /** Policy whose paper label is exactly @p name; nullopt otherwise. */
 std::optional<PolicyKind> policyFromName(std::string_view name);
+
+/**
+ * Policies named by a comma list of paper labels ("BH,CP_SD"); one
+ * trailing comma is allowed. nullopt when the list is empty or any name
+ * is unknown.
+ */
+std::optional<std::vector<PolicyKind>>
+policiesFromList(std::string_view list);
 
 /** A table row bound to its parameters. */
 class InsertionPolicy

@@ -265,4 +265,41 @@ frame(const std::vector<std::uint8_t> &payload)
     return enc.bytes();
 }
 
+std::uint8_t *
+FrameReader::next()
+{
+    return got_ < headerBytes ? header_ + got_
+                              : payload_.data() + (got_ - headerBytes);
+}
+
+std::size_t
+FrameReader::want() const
+{
+    return got_ < headerBytes ? headerBytes - got_
+                              : payload_.size() - (got_ - headerBytes);
+}
+
+bool
+FrameReader::commit(std::size_t n)
+{
+    got_ += n;
+    if (got_ == headerBytes) {
+        const std::uint32_t length =
+            Decoder(header_, headerBytes).u32();
+        if (length == 0)
+            throw IoError("zero-length frame");
+        if (length > maxFrameBytes_) {
+            throw IoError("frame of " + formatU64(length) +
+                          " bytes exceeds the limit of " +
+                          formatU64(maxFrameBytes_));
+        }
+        payload_.resize(length);
+        return false;
+    }
+    if (got_ < headerBytes || got_ - headerBytes < payload_.size())
+        return false;
+    got_ = 0;
+    return true;
+}
+
 } // namespace hllc::serve

@@ -3,11 +3,11 @@
  * The hllc-req-v1 wire protocol of the policy-evaluation daemon.
  *
  * Transport framing is a u32 little-endian payload length followed by
- * the payload bytes; the payload itself is packed with the same
- * bounds-checked Encoder/Decoder primitives the checkpoint container
- * uses (common/serialize.hh), so a truncated, over-declared or
- * bit-flipped frame is rejected with IoError — never a crash or an
- * unbounded allocation. Requests and responses carry a magic, a format
+ * the payload bytes (frame() writes it, FrameReader reads it); the
+ * payload itself is packed with the same bounds-checked Encoder/Decoder
+ * primitives the checkpoint container uses (common/serialize.hh), so a
+ * truncated, over-declared or bit-flipped frame is rejected with
+ * IoError — never a crash or an unbounded allocation. Requests and responses carry a magic, a format
  * version and a caller-chosen request id; the id is the only ordering
  * the daemon guarantees (responses to one connection may interleave
  * across requests, each as one atomic frame).
@@ -134,6 +134,39 @@ Response parseResponse(const std::uint8_t *data, std::size_t size);
 
 /** Wrap @p payload in a u32-length-prefixed frame. */
 std::vector<std::uint8_t> frame(const std::vector<std::uint8_t> &payload);
+
+/**
+ * Incremental reader of the u32-length-prefixed frame stream: receive
+ * at most want() bytes into next(), then commit() them, so no read
+ * passes the end of a frame. A declared length of zero or beyond the
+ * limit throws IoError before any allocation.
+ */
+class FrameReader
+{
+  public:
+    explicit FrameReader(std::uint32_t max_frame_bytes)
+        : maxFrameBytes_(max_frame_bytes)
+    {
+    }
+
+    /** Where the next received bytes belong. */
+    std::uint8_t *next();
+    /** How many bytes complete the current header or payload. */
+    std::size_t want() const;
+    /** Account @p n bytes; true once payload() holds a whole frame. */
+    bool commit(std::size_t n);
+    /** Whether part of a frame has arrived. */
+    bool midFrame() const { return got_ != 0; }
+    std::vector<std::uint8_t> &payload() { return payload_; }
+
+  private:
+    static constexpr std::size_t headerBytes = 4;
+
+    std::uint32_t maxFrameBytes_;
+    std::uint8_t header_[headerBytes] = {};
+    std::size_t got_ = 0; //!< bytes of the current frame, header included
+    std::vector<std::uint8_t> payload_;
+};
 
 } // namespace hllc::serve
 

@@ -1,5 +1,16 @@
 #include "serve/server.hh"
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cstring>
+
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
@@ -10,10 +21,24 @@ namespace hllc::serve
 namespace
 {
 
-/** Reader poll cadence: the drain-latency bound of blocked readers. */
-constexpr std::uint64_t recvPollMs = 100;
-/** Shard wake cadence when idle (pushes also notify immediately). */
-constexpr std::uint64_t shardPollMs = 50;
+constexpr std::uint64_t interruptPollMs = 100; //!< serve()'s cadence
+constexpr std::uint64_t shardPollMs = 50; //!< idle shard re-check
+/** Bytes read off one connection per wake: no peer starves the rest. */
+constexpr std::size_t readBudget = 64 * 1024;
+/** How long a half-closed connection's input is drained before close. */
+constexpr auto lingerBound = std::chrono::milliseconds(500);
+/** A reply write stalled this long marks its peer dead. */
+constexpr std::uint64_t sendStallMs = 5'000;
+
+Response
+errorResponse(std::uint64_t id, const std::string &message)
+{
+    Response response;
+    response.status = Status::Error;
+    response.id = id;
+    response.message = message;
+    return response;
+}
 
 /**
  * Best-effort request id of a payload that failed full parsing, so an
@@ -38,15 +63,31 @@ peekRequestId(const std::vector<std::uint8_t> &payload)
 
 } // anonymous namespace
 
-/** One accepted socket plus the lock serialising reply frames onto it. */
+/**
+ * One accepted socket: the lock serialising reply frames onto it, and
+ * the frame reader and close state only the I/O owner touches.
+ */
 struct Server::Connection
 {
-    explicit Connection(Fd fd) : fd(std::move(fd)) {}
+    Connection(Fd fd, std::uint32_t max_frame_bytes)
+        : fd(std::move(fd)), reader(max_frame_bytes)
+    {
+    }
 
     Fd fd;
     Mutex writeMutex;
     /** Set on the first failed write; later replies are not attempted. */
     std::atomic<bool> dead{ false };
+    /** Requests queued on or running in a shard. */
+    std::atomic<std::uint32_t> inFlight{ 0 };
+    /** No further frame is dispatched; close once inFlight is 0. */
+    std::atomic<bool> closing{ false };
+
+    FrameReader reader;
+    bool synced = true;     //!< false once framing is lost
+    bool eof = false;       //!< input ended (EOF or a socket error)
+    bool halfClosed = false;
+    Clock::time_point lingerUntil;
 };
 
 /** A parsed evaluation request waiting on a shard queue. */
@@ -88,14 +129,6 @@ struct Server::Shard
     }
 };
 
-/** A reader thread and the connection it owns. */
-struct Server::ReaderSlot
-{
-    std::thread thread;
-    std::shared_ptr<Connection> conn;
-    std::atomic<bool> finished{ false };
-};
-
 Server::Server(const ServerConfig &config)
     : config_(config),
       evaluator_(sim::SystemConfig::tableIV(), config.limits)
@@ -104,8 +137,6 @@ Server::Server(const ServerConfig &config)
         config_.shards = 1;
     if (config_.queueDepth == 0)
         config_.queueDepth = 1;
-    if (config_.batchMax == 0)
-        config_.batchMax = 1;
 }
 
 Server::~Server()
@@ -120,6 +151,11 @@ Server::start()
         throw IoError("Server::start() called twice");
 
     listener_ = std::make_unique<Listener>(config_.endpoint);
+    int wake[2];
+    if (::pipe2(wake, O_NONBLOCK | O_CLOEXEC) != 0)
+        throw IoError(std::string("pipe2: ") + std::strerror(errno));
+    wakeRead_ = Fd(wake[0]);
+    wakeWrite_ = Fd(wake[1]);
 
     shards_.reserve(config_.shards);
     for (std::uint32_t i = 0; i < config_.shards; ++i)
@@ -134,8 +170,7 @@ Server::start()
         shardPool_->submit([this, raw] { shardLoop(*raw); });
     }
 
-    listenerThread_ = std::thread([this] { listenerLoop(); });
-    tickerThread_ = std::thread([this] { tickerLoop(); });
+    ioThread_ = std::thread([this] { ioLoop(); });
 }
 
 std::uint16_t
@@ -147,17 +182,9 @@ Server::tcpPort() const
 void
 Server::serve()
 {
-    while (!draining_.load(std::memory_order_acquire) &&
-           !interruptRequested()) {
-        interruptibleSleepMs(recvPollMs);
-    }
+    while (!drained_.load() && !interruptRequested())
+        interruptibleSleepMs(interruptPollMs);
     drain();
-}
-
-void
-Server::requestDrain()
-{
-    draining_.store(true, std::memory_order_release);
 }
 
 void
@@ -167,25 +194,27 @@ Server::drain()
         drained_.exchange(true)) {
         return;
     }
-    draining_.store(true, std::memory_order_release);
-    tickerWake_.notifyAll();
 
-    // 1. No new connections.
-    if (listenerThread_.joinable())
-        listenerThread_.join();
+    // Stop the I/O thread; from here on this thread owns the sockets.
+    if (wakeWrite_.valid())
+        wakeIo();
+    if (ioThread_.joinable())
+        ioThread_.join();
 
-    // 2. No new frames: readers observe the flag within one poll tick,
-    //    finish any frame already in flight (it is accepted and must be
-    //    answered), dispatch it, and exit.
-    std::vector<std::unique_ptr<ReaderSlot>> readers;
-    {
-        MutexLock lock(readersMutex_);
-        readers.swap(readers_);
+    // 1. Final sweep: every connection already in the listen backlog is
+    //    accepted, and every byte already buffered is read, so frames
+    //    that arrived before the drain are accepted and answered.
+    if (listener_)
+        acceptPending();
+    for (std::size_t i = 0; i < connections_.size(); ++i) {
+        int buffered = 0;
+        if (::ioctl(connections_[i]->fd.get(), FIONREAD, &buffered) == 0)
+            readConnection(connections_[i],
+                           static_cast<std::size_t>(buffered));
     }
-    for (auto &slot : readers) {
-        if (slot->thread.joinable())
-            slot->thread.join();
-    }
+
+    // 2. No new connections.
+    listener_.reset();
 
     // 3. Shards run their queues dry. ThreadPool::stop() returns only
     //    after every shard loop finished, i.e. every accepted request
@@ -196,119 +225,197 @@ Server::drain()
     if (shardPool_)
         shardPool_->stop();
 
-    if (tickerThread_.joinable())
-        tickerThread_.join();
-    sampleInterval(); // final boundary: the series end at the totals
+    // 4. Lingering close: half-close every connection, then discard its
+    //    input (complete frames count as refused) until EOF or the
+    //    linger bound.
+    for (const ConnectionPtr &conn : connections_)
+        conn->closing.store(true);
+    reapClosing();
+    while (!connections_.empty())
+        pollOnce(Clock::time_point::max());
 
-    // 4. Final stats export through the atomic checkpoint write path.
+    // 5. Closed. The series end at the totals; the final stats export
+    //    goes through the atomic checkpoint write path.
+    sampleInterval();
     if (!config_.statsOut.empty()) {
         const std::string json = statsJson();
         serial::writeFileAtomic(config_.statsOut, json.data(),
                                 json.size());
     }
-
-    // Reply references are gone (shards drained): closing the
-    // connections now cannot lose an accepted request.
-    readers.clear();
-    listener_.reset();
 }
 
 void
-Server::listenerLoop()
+Server::ioLoop()
 {
-    while (!draining_.load(std::memory_order_acquire)) {
-        // Reap readers whose connection already ended, so a long-lived
-        // daemon serving many short connections stays bounded.
-        {
-            MutexLock lock(readersMutex_);
-            for (std::size_t i = 0; i < readers_.size();) {
-                if (readers_[i]->finished.load(
-                        std::memory_order_acquire)) {
-                    readers_[i]->thread.join();
-                    readers_.erase(
-                        readers_.begin() +
-                        static_cast<std::ptrdiff_t>(i));
-                } else {
-                    ++i;
-                }
-            }
+    const auto interval = std::chrono::milliseconds(config_.statsIntervalMs);
+    Clock::time_point nextSample = Clock::now() + interval;
+    while (!drained_.load()) {
+        pollOnce(nextSample);
+        const Clock::time_point now = Clock::now();
+        if (now >= nextSample) {
+            sampleInterval();
+            nextSample = now + interval;
         }
+    }
+}
 
-        std::optional<Fd> accepted;
-        try {
-            accepted = listener_->accept(recvPollMs);
-        } catch (const IoError &e) {
-            warn("hllc-serve: listener failed: %s", e.what());
-            break;
+void
+Server::pollOnce(Clock::time_point until)
+{
+    std::vector<pollfd> fds;
+    fds.reserve(2 + connections_.size());
+    fds.push_back({ wakeRead_.get(), POLLIN, 0 });
+    fds.push_back({ listener_ ? listener_->fd() : -1, POLLIN, 0 });
+    for (const ConnectionPtr &conn : connections_) {
+        // A negative fd is skipped by poll(): nothing is left to read.
+        fds.push_back({ conn->eof ? -1 : conn->fd.get(), POLLIN, 0 });
+        if (conn->halfClosed)
+            until = std::min(until, conn->lingerUntil);
+    }
+
+    int timeout = -1;
+    if (until != Clock::time_point::max()) {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            until - Clock::now());
+        timeout = static_cast<int>(std::clamp<std::int64_t>(
+            left.count(), 0, INT_MAX));
+    }
+    if (::poll(fds.data(), fds.size(), timeout) < 0) {
+        if (errno != EINTR)
+            warn("hllc-serve: poll failed: %s", std::strerror(errno));
+        return;
+    }
+
+    if (fds[0].revents != 0) {
+        std::uint8_t sink[64];
+        while (::read(wakeRead_.get(), sink, sizeof sink) > 0) {
         }
-        if (!accepted)
-            continue;
+    }
+    // Connections accepted below are read on the next round.
+    const std::size_t polled = fds.size() - 2;
+    if (fds[1].revents != 0)
+        acceptPending();
+    for (std::size_t i = 0; i < polled; ++i) {
+        if (fds[2 + i].revents != 0)
+            readConnection(connections_[i], readBudget);
+    }
+    reapClosing();
+}
+
+void
+Server::acceptPending()
+{
+    while (std::optional<Fd> accepted = listener_->accept()) {
         if (failpoint::shouldFail("serve.accept")) {
             // Injected accept failure: the connection is dropped before
             // any frame could be read, so nothing is "accepted work".
             counters_.acceptInjectedDrops.fetch_add(1);
             continue;
         }
-
-        counters_.connectionsAccepted.fetch_add(1);
-        auto slot = std::make_unique<ReaderSlot>();
-        slot->conn = std::make_shared<Connection>(std::move(*accepted));
-        ReaderSlot *raw = slot.get();
-        {
-            MutexLock lock(readersMutex_);
-            readers_.push_back(std::move(slot));
+        try {
+            setSendTimeoutMs(accepted->get(), sendStallMs);
+        } catch (const IoError &) {
+            continue; // the peer is already gone
         }
-        raw->thread = std::thread([this, raw] {
-            readerLoop(raw->conn);
-            raw->finished.store(true, std::memory_order_release);
-        });
+        counters_.connectionsAccepted.fetch_add(1);
+        connections_.push_back(std::make_shared<Connection>(
+            std::move(*accepted), config_.maxFrameBytes));
     }
 }
 
 void
-Server::readerLoop(std::shared_ptr<Connection> conn)
+Server::readConnection(const ConnectionPtr &conn, std::size_t budget)
 {
-    try {
-        setRecvTimeoutMs(conn->fd.get(), recvPollMs);
-    } catch (const IoError &) {
-        return; // socket already dead
-    }
-
-    std::vector<std::uint8_t> payload;
-    for (;;) {
-        RecvStatus status;
-        try {
-            status = recvFrame(conn->fd.get(), payload,
-                               config_.maxFrameBytes);
-        } catch (const IoError &e) {
-            // Framing-level damage (zero/oversized length, mid-frame
-            // EOF or stall, socket error): the stream cannot be
-            // resynchronised, so answer with an error frame and drop
-            // the connection. The frame consumed a slot: account it so
-            // accepted == replied stays checkable.
-            counters_.framesAccepted.fetch_add(1);
-            counters_.requestsError.fetch_add(1);
-            Response response;
-            response.status = Status::Error;
-            response.id = 0;
-            response.message = e.what();
-            sendReply(conn, response);
-            break;
+    Connection &c = *conn;
+    std::uint8_t discard[4096];
+    while (!c.eof && budget > 0) {
+        std::uint8_t *into = c.synced ? c.reader.next() : discard;
+        const std::size_t want = std::min(
+            budget, c.synced ? c.reader.want() : sizeof discard);
+        const ssize_t n = ::recv(c.fd.get(), into, want, MSG_DONTWAIT);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            return;
+        if (n <= 0) {
+            // Input ended. Only an EOF inside a frame gets an error
+            // reply; after a socket error there is no one to answer.
+            if (n == 0 && c.synced && c.reader.midFrame())
+                framingError(conn, "connection closed mid-frame");
+            c.eof = true;
+            c.closing.store(true);
+            return;
         }
-        if (status == RecvStatus::Eof)
-            break;
-        if (status == RecvStatus::Timeout) {
-            if (draining_.load(std::memory_order_acquire))
-                break;
+        budget -= static_cast<std::size_t>(n);
+        if (!c.synced)
+            continue;
+        bool complete = false;
+        try {
+            complete = c.reader.commit(static_cast<std::size_t>(n));
+        } catch (const IoError &e) {
+            framingError(conn, e.what());
+            continue;
+        }
+        if (!complete)
+            continue;
+        if (c.closing.load()) {
+            counters_.refused.fetch_add(1);
             continue;
         }
         counters_.framesAccepted.fetch_add(1);
-        handleFrame(conn, payload);
+        handleFrame(conn, c.reader.payload());
     }
 }
 
 void
-Server::handleFrame(const std::shared_ptr<Connection> &conn,
+Server::framingError(const ConnectionPtr &conn, const std::string &what)
+{
+    // Zero/oversized length or a mid-frame EOF: the stream cannot be
+    // resynchronised, so answer once and close the connection. The
+    // frame consumed a slot: account it so accepted == replied stays
+    // checkable. A closing connection is past answering.
+    conn->synced = false;
+    if (conn->closing.exchange(true))
+        return;
+    counters_.framesAccepted.fetch_add(1);
+    counters_.requestsError.fetch_add(1);
+    sendReply(conn, errorResponse(0, what));
+}
+
+void
+Server::reapClosing()
+{
+    const Clock::time_point now = Clock::now();
+    std::erase_if(connections_, [&](const ConnectionPtr &conn) {
+        Connection &c = *conn;
+        if (!c.closing.load())
+            return false;
+        if (!c.halfClosed) {
+            // The shard sending the last in-flight reply wakes the loop.
+            if (c.inFlight.load() != 0)
+                return false;
+            if (c.eof)
+                return true; // input fully read: the close sends FIN
+            c.fd.shutdownWrite();
+            c.halfClosed = true;
+            c.lingerUntil = now + lingerBound;
+            return false;
+        }
+        return c.eof || now >= c.lingerUntil;
+    });
+}
+
+void
+Server::wakeIo()
+{
+    const std::uint8_t byte = 1;
+    // hllc-lint: allow(failpoint-coverage) the write only fails when
+    // the pipe is full, and a full pipe already holds a pending wake.
+    [[maybe_unused]] const ssize_t n = ::write(wakeWrite_.get(), &byte, 1);
+}
+
+void
+Server::handleFrame(const ConnectionPtr &conn,
                     const std::vector<std::uint8_t> &payload)
 {
     Request request;
@@ -318,45 +425,32 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
                                config_.limits.maxBatchEvents);
     } catch (const IoError &e) {
         counters_.requestsError.fetch_add(1);
-        Response response;
-        response.status = Status::Error;
-        response.id = peekRequestId(payload);
-        response.message = e.what();
-        sendReply(conn, response);
+        sendReply(conn, errorResponse(peekRequestId(payload), e.what()));
         return;
     }
 
-    switch (request.type) {
-    case RequestType::Ping: {
+    if (request.type == RequestType::Ping ||
+        request.type == RequestType::Stats) {
         counters_.requestsOk.fetch_add(1);
         Response response;
         response.status = Status::Ok;
         response.id = request.id;
-        response.type = RequestType::Ping;
+        response.type = request.type;
+        if (request.type == RequestType::Stats) {
+            counters_.statsRequests.fetch_add(1);
+            response.statsJson = statsJson();
+        }
         sendReply(conn, response);
         return;
-    }
-    case RequestType::Stats: {
-        counters_.requestsOk.fetch_add(1);
-        counters_.statsRequests.fetch_add(1);
-        Response response;
-        response.status = Status::Ok;
-        response.id = request.id;
-        response.type = RequestType::Stats;
-        response.statsJson = statsJson();
-        sendReply(conn, response);
-        return;
-    }
-    case RequestType::Replay:
-    case RequestType::Batch:
-        break;
     }
 
     Shard &shard = *shards_[request.id % shards_.size()];
     const bool injected = failpoint::shouldFail("serve.dispatch");
+    conn->inFlight.fetch_add(1);
     if (injected ||
         !shard.tryPush(WorkItem{ conn, std::move(request) },
                        config_.queueDepth)) {
+        conn->inFlight.fetch_sub(1);
         counters_.overloaded.fetch_add(1);
         Response response;
         response.status = Status::Overloaded;
@@ -370,9 +464,8 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
 void
 Server::shardLoop(Shard &shard)
 {
-    std::vector<WorkItem> batch;
     for (;;) {
-        batch.clear();
+        WorkItem item;
         {
             MutexLock lock(shard.mutex);
             while (shard.queue.empty()) {
@@ -380,44 +473,33 @@ Server::shardLoop(Shard &shard)
                     return;
                 shard.wake.waitFor(shard.mutex, shardPollMs);
             }
-            const std::size_t take =
-                std::min(shard.queue.size(), config_.batchMax);
-            for (std::size_t i = 0; i < take; ++i) {
-                batch.push_back(std::move(shard.queue.front()));
-                shard.queue.pop_front();
-            }
+            item = std::move(shard.queue.front());
+            shard.queue.pop_front();
         }
 
-        // The batch evaluates back to back on this worker (one lock
-        // round per batchMax requests); each reply goes out as soon as
-        // its evaluation finishes.
-        for (WorkItem &item : batch) {
-            Response response;
-            response.id = item.request.id;
-            response.type = item.request.type;
-            try {
-                response.result = evaluator_.evaluate(item.request);
-                response.status = Status::Ok;
-                counters_.requestsOk.fetch_add(1);
-                counters_.eventsProcessed.fetch_add(
-                    response.result.measuredEvents);
-            } catch (const IoError &e) {
-                response.status = Status::Error;
-                response.message = e.what();
-                counters_.requestsError.fetch_add(1);
-            } catch (const std::exception &e) {
-                response.status = Status::Error;
-                response.message = e.what();
-                counters_.requestsError.fetch_add(1);
-            }
-            sendReply(item.conn, response);
+        Response response;
+        response.id = item.request.id;
+        response.type = item.request.type;
+        try {
+            response.result = evaluator_.evaluate(item.request);
+            response.status = Status::Ok;
+            counters_.requestsOk.fetch_add(1);
+            counters_.eventsProcessed.fetch_add(
+                response.result.measuredEvents);
+        } catch (const std::exception &e) {
+            response.status = Status::Error;
+            response.message = e.what();
+            counters_.requestsError.fetch_add(1);
         }
+        sendReply(item.conn, response);
+        if (item.conn->inFlight.fetch_sub(1) == 1 &&
+            item.conn->closing.load())
+            wakeIo();
     }
 }
 
 void
-Server::sendReply(const std::shared_ptr<Connection> &conn,
-                  const Response &response)
+Server::sendReply(const ConnectionPtr &conn, const Response &response)
 {
     const std::vector<std::uint8_t> framed =
         frame(encodeResponse(response));
@@ -440,38 +522,25 @@ Server::sendReply(const std::shared_ptr<Connection> &conn,
 }
 
 void
-Server::tickerLoop()
-{
-    MutexLock lock(tickerMutex_);
-    while (!draining_.load(std::memory_order_acquire)) {
-        tickerWake_.waitFor(tickerMutex_, config_.statsIntervalMs);
-        if (draining_.load(std::memory_order_acquire))
-            break;
-        sampleInterval();
-    }
-}
-
-void
 Server::sampleInterval()
 {
     std::uint64_t depth = 0;
     for (auto &shard : shards_)
         depth += shard->depthNow();
 
+    const ServerStats s = stats();
     MutexLock lock(seriesMutex_);
-    series_.series("interval").append(
-        static_cast<double>(intervalIndex_++));
-    series_.series("requests_ok").append(
-        static_cast<double>(counters_.requestsOk.load()));
-    series_.series("requests_error").append(
-        static_cast<double>(counters_.requestsError.load()));
-    series_.series("overloaded").append(
-        static_cast<double>(counters_.overloaded.load()));
-    series_.series("events_processed").append(
-        static_cast<double>(counters_.eventsProcessed.load()));
-    series_.series("replies_sent").append(
-        static_cast<double>(counters_.repliesSent.load()));
-    series_.series("queue_depth").append(static_cast<double>(depth));
+    const std::pair<const char *, std::uint64_t> samples[] = {
+        { "interval", intervalIndex_++ },
+        { "requests_ok", s.requestsOk },
+        { "requests_error", s.requestsError },
+        { "overloaded", s.overloaded },
+        { "events_processed", s.eventsProcessed },
+        { "replies_sent", s.repliesSent },
+        { "queue_depth", depth },
+    };
+    for (const auto &[name, value] : samples)
+        series_.series(name).append(static_cast<double>(value));
 }
 
 ServerStats
@@ -488,6 +557,7 @@ Server::stats() const
     s.replyFailures = counters_.replyFailures.load();
     s.eventsProcessed = counters_.eventsProcessed.load();
     s.statsRequests = counters_.statsRequests.load();
+    s.refused = counters_.refused.load();
     return s;
 }
 
@@ -508,6 +578,7 @@ Server::statsJson() const
         { "reply_failures", s.replyFailures },
         { "events_processed", s.eventsProcessed },
         { "stats_requests", s.statsRequests },
+        { "refused", s.refused },
     };
 
     MutexLock lock(seriesMutex_);

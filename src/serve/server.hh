@@ -4,35 +4,46 @@
  *
  * Topology (one process):
  *
- *   listener thread ── accept ──▶ one reader thread per connection
- *        │                              │ parse (serve.decode)
- *        │                              ▼
- *        │                    shard = id % N  (serve.dispatch)
- *        │                              │ bounded queue; full ⇒
- *        │                              │ OVERLOADED reply, never
- *        ▼                              ▼ unbounded growth
- *   stats ticker            N shard workers on one ThreadPool
- *   (interval series)          batch-pop up to batchMax items,
- *                              evaluate, reply (serve.reply)
+ *   one I/O thread: poll() over the listener, every connection and a
+ *   wake pipe. It accepts (serve.accept), reads frames through one
+ *   FrameReader per connection, parses them (serve.decode), answers
+ *   Ping, Stats and errors inline, and takes an interval sample
+ *   whenever statsIntervalMs is due.
+ *        │ Replay / Batch: shard = id % N  (serve.dispatch)
+ *        │ bounded queue; full ⇒ OVERLOADED reply, never unbounded
+ *        ▼ growth
+ *   N shard workers on one ThreadPool: pop one request, evaluate,
+ *   reply (serve.reply)
  *
  * Replies to one connection are serialised by a per-connection write
- * lock, so frames never interleave. The accounting invariant the drain
- * guarantee rests on: every *accepted* frame (fully read off a socket)
- * produces exactly one reply attempt — framesAccepted ==
- * repliesSent + replyFailures at all times once quiescent.
+ * lock, so frames never interleave. A reply write that makes no
+ * progress for a fixed bound marks its peer dead, so a client that
+ * stops reading cannot hold the I/O thread or a shard. The accounting
+ * invariant the drain guarantee rests on: every *accepted* frame
+ * (fully read off a socket) produces exactly one reply attempt —
+ * framesAccepted == repliesSent + replyFailures once quiescent.
  *
- * Graceful drain (SIGTERM via common/interrupt, or requestDrain()):
- * stop accepting connections, readers stop pulling new frames (an
- * in-flight frame is finished and dispatched), shards run their queues
- * dry, every pending reply is flushed, then the final hllc-stats-v1
- * export is written through the atomic-write checkpoint path. Zero
- * accepted requests are lost.
+ * Drain (SIGTERM via common/interrupt, or drain()):
+ *  1. A final non-blocking sweep accepts every pending connection and
+ *     reads every complete frame already buffered, so frames that
+ *     arrived before the drain are accepted and answered.
+ *  2. The listener closes.
+ *  3. The shards run dry: every accepted frame gets its reply.
+ *  4. Each connection is half-closed (shutdown(SHUT_WR)); its input is
+ *     read and discarded until EOF or a fixed linger bound. Complete
+ *     frames discarded here are counted as `refused`.
+ *  5. Close; the final hllc-stats-v1 export is written through the
+ *     atomic-write checkpoint path.
+ * A connection dropped after a framing error, or after its peer's EOF,
+ * gets the same lingering close once its in-flight replies are out, so
+ * a reply is never lost to the RST a close with unread input sends.
  */
 
 #ifndef HLLC_SERVE_SERVER_HH
 #define HLLC_SERVE_SERVER_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -56,7 +67,6 @@ struct ServerConfig
     Endpoint endpoint;
     unsigned shards = 4;
     std::size_t queueDepth = 64;   //!< per-shard pending-request bound
-    std::size_t batchMax = 16;     //!< items a shard pops per wake
     std::uint32_t maxFrameBytes = defaultMaxFrameBytes;
     EvalLimits limits;
     std::string statsOut;          //!< final hllc-stats-v1 export path
@@ -64,19 +74,22 @@ struct ServerConfig
 };
 
 /** Monotonic counters (snapshot via Server::stats()). */
-struct ServerStats
+template <typename Count>
+struct BasicServerStats
 {
-    std::uint64_t connectionsAccepted = 0;
-    std::uint64_t acceptInjectedDrops = 0; //!< serve.accept chaos
-    std::uint64_t framesAccepted = 0;      //!< fully read off a socket
-    std::uint64_t requestsOk = 0;
-    std::uint64_t requestsError = 0;       //!< decode or eval errors
-    std::uint64_t overloaded = 0;          //!< backpressure replies
-    std::uint64_t repliesSent = 0;
-    std::uint64_t replyFailures = 0;       //!< dead peer / serve.reply
-    std::uint64_t eventsProcessed = 0;     //!< measured events evaluated
-    std::uint64_t statsRequests = 0;
+    Count connectionsAccepted{};
+    Count acceptInjectedDrops{}; //!< serve.accept chaos
+    Count framesAccepted{};      //!< fully read off a socket
+    Count requestsOk{};
+    Count requestsError{};       //!< decode or eval errors
+    Count overloaded{};          //!< backpressure replies
+    Count repliesSent{};
+    Count replyFailures{};       //!< dead peer / serve.reply
+    Count eventsProcessed{};     //!< measured events evaluated
+    Count statsRequests{};
+    Count refused{};             //!< frames discarded by the drain
 };
+using ServerStats = BasicServerStats<std::uint64_t>;
 
 class Server
 {
@@ -87,26 +100,22 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Bind, then spawn the listener, shard workers and stats ticker. */
+    /** Bind, then spawn the I/O thread and the shard workers. */
     void start();
 
     /** The resolved TCP port (ephemeral binds); 0 for Unix sockets. */
     std::uint16_t tcpPort() const;
 
     /**
-     * Block until an interrupt (SIGINT/SIGTERM via common/interrupt or
-     * requestDrain()) arrives, then drain and return. The daemon main
-     * is `installInterruptHandlers(); server.start(); server.serve();`.
+     * Block until an interrupt (SIGINT/SIGTERM via common/interrupt)
+     * arrives, then drain and return. The daemon main is
+     * `installInterruptHandlers(); server.start(); server.serve();`.
      */
     void serve();
 
-    /** Begin a graceful drain from another thread (idempotent). */
-    void requestDrain();
-
     /**
-     * Drain to completion: stop accepting, finish every accepted
-     * request, flush replies, write the final stats export. Idempotent;
-     * implied by serve() and the destructor.
+     * Drain to completion (the five steps above), then write the final
+     * stats export. Idempotent; implied by serve() and the destructor.
      */
     void drain();
 
@@ -119,55 +128,46 @@ class Server
     struct Connection;
     struct Shard;
     struct WorkItem;
-    struct ReaderSlot;
+    using Clock = std::chrono::steady_clock;
+    using ConnectionPtr = std::shared_ptr<Connection>;
 
-    void listenerLoop();
-    void readerLoop(std::shared_ptr<Connection> conn);
+    void ioLoop();
+    void pollOnce(Clock::time_point until);
+    void acceptPending();
+    void readConnection(const ConnectionPtr &conn, std::size_t budget);
+    void framingError(const ConnectionPtr &conn, const std::string &what);
+    void reapClosing();
+    void wakeIo();
     void shardLoop(Shard &shard);
-    void tickerLoop();
-    void handleFrame(const std::shared_ptr<Connection> &conn,
+    void handleFrame(const ConnectionPtr &conn,
                      const std::vector<std::uint8_t> &payload);
-    void sendReply(const std::shared_ptr<Connection> &conn,
-                   const Response &response);
+    void sendReply(const ConnectionPtr &conn, const Response &response);
     void sampleInterval();
 
     ServerConfig config_;
     Evaluator evaluator_;
-    std::unique_ptr<Listener> listener_;
 
     std::atomic<bool> started_{ false };
-    std::atomic<bool> draining_{ false };
+    /** Set when drain() begins; the I/O thread then returns. */
     std::atomic<bool> drained_{ false };
-    /** Set once the readers are gone: shards may run dry and exit. */
+    /** Set once no frame can be dispatched: shards may run dry and exit. */
     std::atomic<bool> shardsMayExit_{ false };
 
-    std::thread listenerThread_;
+    /**
+     * Owned by the I/O thread while it runs, then by drain(), which
+     * joins it before touching them.
+     */
+    std::unique_ptr<Listener> listener_;
+    std::vector<ConnectionPtr> connections_;
+    Fd wakeRead_;  //!< the I/O thread polls this end
+    Fd wakeWrite_; //!< drain() and shards write a byte here
+    std::thread ioThread_;
+
     std::unique_ptr<ThreadPool> shardPool_;
     std::vector<std::unique_ptr<Shard>> shards_;
 
-    Mutex readersMutex_;
-    std::vector<std::unique_ptr<ReaderSlot>> readers_
-        HLLC_GUARDED_BY(readersMutex_);
-
-    std::thread tickerThread_;
-    Mutex tickerMutex_;
-    CondVar tickerWake_;
-
-    /** Counter cells are atomics so every thread can bump them. */
-    struct Counters
-    {
-        std::atomic<std::uint64_t> connectionsAccepted{ 0 };
-        std::atomic<std::uint64_t> acceptInjectedDrops{ 0 };
-        std::atomic<std::uint64_t> framesAccepted{ 0 };
-        std::atomic<std::uint64_t> requestsOk{ 0 };
-        std::atomic<std::uint64_t> requestsError{ 0 };
-        std::atomic<std::uint64_t> overloaded{ 0 };
-        std::atomic<std::uint64_t> repliesSent{ 0 };
-        std::atomic<std::uint64_t> replyFailures{ 0 };
-        std::atomic<std::uint64_t> eventsProcessed{ 0 };
-        std::atomic<std::uint64_t> statsRequests{ 0 };
-    };
-    Counters counters_;
+    /** Atomic cells, so every thread can bump them. */
+    BasicServerStats<std::atomic<std::uint64_t>> counters_;
 
     mutable Mutex seriesMutex_;
     metrics::MetricRegistry series_ HLLC_GUARDED_BY(seriesMutex_);

@@ -1,10 +1,10 @@
 #include "serve/socket.hh"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include <netinet/in.h>
-#include <sys/select.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/types.h>
@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "common/numfmt.hh"
+#include "serve/protocol.hh"
 
 namespace hllc::serve
 {
@@ -25,18 +26,64 @@ throwErrno(const std::string &what)
     throw IoError(what + ": " + std::strerror(errno));
 }
 
-/** recv() one chunk, retrying EINTR; 0 = EOF, -1 with EAGAIN = timeout. */
-ssize_t
-recvChunk(int fd, void *buf, std::size_t size)
+/** The sockaddr of an Endpoint, and its name for error messages. */
+struct Address
 {
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, size, 0);
-        if (n >= 0)
-            return n;
-        if (errno == EINTR)
-            continue;
-        return -1;
+    sockaddr_storage storage{};
+    socklen_t length = 0;
+    std::string name;
+
+    const sockaddr *get() const
+    {
+        return reinterpret_cast<const sockaddr *>(&storage);
     }
+};
+
+Address
+resolve(const Endpoint &endpoint)
+{
+    Address addr;
+    if (!endpoint.unixPath.empty()) {
+        auto *un = reinterpret_cast<sockaddr_un *>(&addr.storage);
+        if (endpoint.unixPath.size() >= sizeof(un->sun_path))
+            throw IoError("unix socket path too long: " +
+                          endpoint.unixPath);
+        un->sun_family = AF_UNIX;
+        std::memcpy(un->sun_path, endpoint.unixPath.c_str(),
+                    endpoint.unixPath.size() + 1);
+        addr.length = sizeof(sockaddr_un);
+        addr.name = "'" + endpoint.unixPath + "'";
+        return addr;
+    }
+    auto *in = reinterpret_cast<sockaddr_in *>(&addr.storage);
+    in->sin_family = AF_INET;
+    in->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    in->sin_port = htons(endpoint.tcpPort);
+    addr.length = sizeof(sockaddr_in);
+    addr.name = "127.0.0.1:" + formatU64(endpoint.tcpPort);
+    return addr;
+}
+
+Fd
+openSocket(const Address &addr, int flags)
+{
+    Fd fd(::socket(addr.storage.ss_family, SOCK_STREAM | SOCK_CLOEXEC |
+                                               flags,
+                   0));
+    if (!fd.valid())
+        throwErrno("socket");
+    return fd;
+}
+
+/** Set the SO_RCVTIMEO / SO_SNDTIMEO @p option of @p fd. */
+void
+setTimeoutMs(int fd, int option, std::uint64_t timeout_ms)
+{
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
+    if (::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv)) != 0)
+        throwErrno("setsockopt(timeout)");
 }
 
 } // anonymous namespace
@@ -62,157 +109,81 @@ Fd::close()
 }
 
 void
-Fd::shutdown()
+Fd::shutdownWrite()
 {
     if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RDWR);
+        ::shutdown(fd_, SHUT_WR);
 }
 
 Listener::Listener(const Endpoint &endpoint)
 {
+    const Address addr = resolve(endpoint);
+    Fd fd = openSocket(addr, SOCK_NONBLOCK);
     if (!endpoint.unixPath.empty()) {
-        unixPath_ = endpoint.unixPath;
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (unixPath_.size() >= sizeof(addr.sun_path)) {
-            throw IoError("unix socket path too long: " + unixPath_);
-        }
-        std::memcpy(addr.sun_path, unixPath_.c_str(),
-                    unixPath_.size() + 1);
-
-        Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-        if (!fd.valid())
-            throwErrno("socket(AF_UNIX)");
         // A stale socket file from a previous daemon must not block the
         // restart; bind() would fail with EADDRINUSE on it.
-        ::unlink(unixPath_.c_str());
-        if (::bind(fd.get(), reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            throwErrno("bind('" + unixPath_ + "')");
-        }
-        if (::listen(fd.get(), 128) != 0)
-            throwErrno("listen('" + unixPath_ + "')");
-        fd_ = std::move(fd);
-        return;
+        ::unlink(endpoint.unixPath.c_str());
+    } else {
+        const int one = 1;
+        ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one,
+                     sizeof(one));
     }
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(endpoint.tcpPort);
-
-    Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!fd.valid())
-        throwErrno("socket(AF_INET)");
-    const int one = 1;
-    ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd.get(), reinterpret_cast<const sockaddr *>(&addr),
-               sizeof(addr)) != 0) {
-        throwErrno("bind(127.0.0.1:" + formatU64(endpoint.tcpPort) + ")");
-    }
+    if (::bind(fd.get(), addr.get(), addr.length) != 0)
+        throwErrno("bind(" + addr.name + ")");
+    unixPath_ = endpoint.unixPath;
     if (::listen(fd.get(), 128) != 0)
-        throwErrno("listen(tcp)");
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(fd.get(), reinterpret_cast<sockaddr *>(&bound),
-                      &len) != 0) {
-        throwErrno("getsockname");
+        throwErrno("listen(" + addr.name + ")");
+    if (unixPath_.empty()) {
+        sockaddr_in bound{};
+        socklen_t len = sizeof(bound);
+        if (::getsockname(fd.get(), reinterpret_cast<sockaddr *>(&bound),
+                          &len) != 0) {
+            throwErrno("getsockname");
+        }
+        port_ = ntohs(bound.sin_port);
     }
-    port_ = ntohs(bound.sin_port);
     fd_ = std::move(fd);
 }
 
 Listener::~Listener()
 {
-    close();
+    fd_.close();
+    if (!unixPath_.empty())
+        ::unlink(unixPath_.c_str());
 }
 
 std::optional<Fd>
-Listener::accept(std::uint64_t timeout_ms)
+Listener::accept()
 {
-    if (!fd_.valid())
-        throw IoError("accept on a closed listener");
-
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-    tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-    fd_set readable;
-    FD_ZERO(&readable);
-    FD_SET(fd_.get(), &readable);
-    const int ready = ::select(fd_.get() + 1, &readable, nullptr,
-                               nullptr, &tv);
-    if (ready < 0) {
-        if (errno == EINTR)
-            return std::nullopt; // signal; caller re-checks its flags
-        throwErrno("select(listen)");
-    }
-    if (ready == 0)
-        return std::nullopt;
-
-    Fd conn(::accept(fd_.get(), nullptr, nullptr));
-    if (!conn.valid()) {
-        // The peer can vanish between select() and accept(); that is
-        // its problem, not the daemon's.
-        return std::nullopt;
-    }
-    return conn;
-}
-
-void
-Listener::close()
-{
-    fd_.close();
-    if (!unixPath_.empty()) {
-        ::unlink(unixPath_.c_str());
-        unixPath_.clear();
+    for (;;) {
+        Fd conn(::accept4(fd_.get(), nullptr, nullptr, SOCK_CLOEXEC));
+        if (conn.valid())
+            return conn;
+        if (errno != EINTR)
+            return std::nullopt;
     }
 }
 
 Fd
 connectTo(const Endpoint &endpoint)
 {
-    if (!endpoint.unixPath.empty()) {
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (endpoint.unixPath.size() >= sizeof(addr.sun_path))
-            throw IoError("unix socket path too long: " +
-                          endpoint.unixPath);
-        std::memcpy(addr.sun_path, endpoint.unixPath.c_str(),
-                    endpoint.unixPath.size() + 1);
-        Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-        if (!fd.valid())
-            throwErrno("socket(AF_UNIX)");
-        if (::connect(fd.get(),
-                      reinterpret_cast<const sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            throwErrno("connect('" + endpoint.unixPath + "')");
-        }
-        return fd;
-    }
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(endpoint.tcpPort);
-    Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!fd.valid())
-        throwErrno("socket(AF_INET)");
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        throwErrno("connect(127.0.0.1:" + formatU64(endpoint.tcpPort) +
-                   ")");
-    }
+    const Address addr = resolve(endpoint);
+    Fd fd = openSocket(addr, 0);
+    if (::connect(fd.get(), addr.get(), addr.length) != 0)
+        throwErrno("connect(" + addr.name + ")");
     return fd;
 }
 
 void
 setRecvTimeoutMs(int fd, std::uint64_t timeout_ms)
 {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-    tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-    if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0)
-        throwErrno("setsockopt(SO_RCVTIMEO)");
+    setTimeoutMs(fd, SO_RCVTIMEO, timeout_ms);
+}
+
+void
+setSendTimeoutMs(int fd, std::uint64_t timeout_ms)
+{
+    setTimeoutMs(fd, SO_SNDTIMEO, timeout_ms);
 }
 
 void
@@ -236,72 +207,34 @@ RecvStatus
 recvFrame(int fd, std::vector<std::uint8_t> &payload,
           std::uint32_t max_frame_bytes, std::uint64_t mid_frame_grace_ms)
 {
-    // The recv timeout set on the socket (setRecvTimeoutMs) is the unit
-    // a mid-frame stall is counted in; assume 100 ms when unset.
-    constexpr std::uint64_t assumedTimeoutMs = 100;
-
-    std::uint8_t header[4];
-    std::size_t got = 0;
-    std::uint64_t stalled_ms = 0;
-    while (got < sizeof(header)) {
-        const ssize_t n =
-            recvChunk(fd, header + got, sizeof(header) - got);
+    using Clock = std::chrono::steady_clock;
+    FrameReader reader(max_frame_bytes);
+    Clock::duration stalled{};
+    for (;;) {
+        const Clock::time_point before = Clock::now();
+        const ssize_t n = ::recv(fd, reader.next(), reader.want(), 0);
         if (n > 0) {
-            got += static_cast<std::size_t>(n);
+            if (reader.commit(static_cast<std::size_t>(n))) {
+                payload.swap(reader.payload());
+                return RecvStatus::Frame;
+            }
             continue;
         }
         if (n == 0) {
-            if (got == 0)
+            if (!reader.midFrame())
                 return RecvStatus::Eof;
-            throw IoError("connection closed mid-frame (header)");
+            throw IoError("connection closed mid-frame");
         }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            if (got == 0)
-                return RecvStatus::Timeout;
-            stalled_ms += assumedTimeoutMs;
-            if (stalled_ms >= mid_frame_grace_ms)
-                throw IoError("peer stalled mid-frame (header)");
+        if (errno == EINTR)
             continue;
-        }
-        throwErrno("recv(header)");
+        if (errno != EAGAIN && errno != EWOULDBLOCK)
+            throwErrno("recv");
+        if (!reader.midFrame())
+            return RecvStatus::Timeout;
+        stalled += Clock::now() - before;
+        if (stalled >= std::chrono::milliseconds(mid_frame_grace_ms))
+            throw IoError("peer stalled mid-frame");
     }
-
-    const std::uint32_t length = static_cast<std::uint32_t>(header[0]) |
-                                 static_cast<std::uint32_t>(header[1])
-                                     << 8 |
-                                 static_cast<std::uint32_t>(header[2])
-                                     << 16 |
-                                 static_cast<std::uint32_t>(header[3])
-                                     << 24;
-    if (length == 0)
-        throw IoError("zero-length frame");
-    if (length > max_frame_bytes) {
-        throw IoError("frame of " + formatU64(length) +
-                      " bytes exceeds the limit of " +
-                      formatU64(max_frame_bytes));
-    }
-
-    payload.resize(length);
-    std::size_t read = 0;
-    stalled_ms = 0;
-    while (read < length) {
-        const ssize_t n =
-            recvChunk(fd, payload.data() + read, length - read);
-        if (n > 0) {
-            read += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n == 0)
-            throw IoError("connection closed mid-frame (payload)");
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            stalled_ms += assumedTimeoutMs;
-            if (stalled_ms >= mid_frame_grace_ms)
-                throw IoError("peer stalled mid-frame (payload)");
-            continue;
-        }
-        throwErrno("recv(payload)");
-    }
-    return RecvStatus::Frame;
 }
 
 } // namespace hllc::serve

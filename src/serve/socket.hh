@@ -1,17 +1,12 @@
 /**
  * @file
  * Minimal RAII POSIX socket layer for the serving daemon, its load
- * generator and the tests.
- *
- * Only what hllc-serve needs: a listener (Unix-domain path or loopback
- * TCP with ephemeral-port resolution), blocking connects, and frame
+ * generator and the tests: a non-blocking listener (Unix path or
+ * loopback TCP, ephemeral ports resolved), blocking connects, and frame
  * send/receive over the u32-length-prefix transport of
- * serve/protocol.hh. Receives run with a short kernel timeout so
- * blocked readers observe the drain flag within ~100 ms; sends use
- * MSG_NOSIGNAL so a vanished peer surfaces as IoError, never SIGPIPE.
- *
- * All failures throw hllc::IoError — library code never terminates the
- * process.
+ * serve/protocol.hh (recvFrame() reads through its FrameReader). Sends use
+ * MSG_NOSIGNAL, so a vanished peer surfaces as IoError, never SIGPIPE.
+ * All failures throw hllc::IoError.
  */
 
 #ifndef HLLC_SERVE_SOCKET_HH
@@ -44,8 +39,8 @@ class Fd
     bool valid() const { return fd_ >= 0; }
     /** Close now (idempotent); also called by the destructor. */
     void close();
-    /** Shut down both directions (wakes a peer blocked in recv). */
-    void shutdown();
+    /** Half-close: send FIN, keep the read side open. */
+    void shutdownWrite();
 
   private:
     int fd_ = -1;
@@ -67,24 +62,24 @@ class Listener
      * Throws IoError on any syscall failure.
      */
     explicit Listener(const Endpoint &endpoint);
+    /** Stop accepting: closes the socket and unlinks a Unix path. */
     ~Listener();
 
     Listener(const Listener &) = delete;
     Listener &operator=(const Listener &) = delete;
 
     /**
-     * Wait up to @p timeout_ms for a connection. Returns the accepted
-     * socket, or nothing on timeout. Throws IoError on a listener-level
-     * failure (per-connection accept errors are swallowed: the peer
-     * vanishing between poll and accept is not a daemon problem).
+     * Accept one pending connection without blocking, or return nothing
+     * (none pending, or the peer vanished first). The accepted socket
+     * is blocking: replies use sendAll.
      */
-    std::optional<Fd> accept(std::uint64_t timeout_ms);
+    std::optional<Fd> accept();
+
+    /** The listening descriptor, for poll(). */
+    int fd() const { return fd_.get(); }
 
     /** The bound TCP port (resolved when 0 was requested); 0 for Unix. */
     std::uint16_t port() const { return port_; }
-
-    /** Stop accepting: closes the socket (and unlinks a Unix path). */
-    void close();
 
   private:
     Fd fd_;
@@ -95,10 +90,11 @@ class Listener
 /** Connect to @p endpoint (blocking). Throws IoError on failure. */
 Fd connectTo(const Endpoint &endpoint);
 
-/**
- * Set the kernel receive timeout of @p fd (recvFrame's poll cadence).
- */
+/** Set the kernel receive timeout of @p fd (recvFrame's Timeout). */
 void setRecvTimeoutMs(int fd, std::uint64_t timeout_ms);
+
+/** Set the kernel send timeout of @p fd (sendAll throws past it). */
+void setSendTimeoutMs(int fd, std::uint64_t timeout_ms);
 
 /** Send all of @p data (+MSG_NOSIGNAL); throws IoError on failure. */
 void sendAll(int fd, const void *data, std::size_t size);
@@ -112,15 +108,11 @@ enum class RecvStatus
 };
 
 /**
- * Read one length-prefixed frame into @p payload.
- *
- * Returns Timeout only when no byte of the frame has been read yet (so
- * a poll loop can check its drain flag); once the length prefix starts
- * arriving the frame is read to completion, with up to
- * @p mid_frame_grace_ms of cumulative stall tolerated before the
- * connection is declared broken. A declared length of zero or beyond
- * @p max_frame_bytes throws IoError before any allocation, as does a
- * mid-frame EOF or socket error.
+ * Read one frame into @p payload (FrameReader's rules). Returns Timeout
+ * only before the first byte; then the frame is read to completion,
+ * tolerating @p mid_frame_grace_ms of cumulative stall (wall time in
+ * receives that timed out). A mid-frame EOF, a longer stall or a socket
+ * error throws IoError.
  */
 RecvStatus recvFrame(int fd, std::vector<std::uint8_t> &payload,
                      std::uint32_t max_frame_bytes,

@@ -246,8 +246,16 @@ TEST(AnalysisRng, BannedEngineIsExactlyOneFinding)
     tree.add("src/cache/r.cc",
              "void f() { std::mt19937 gen; gen(); }\n");
 
-    const lint::RunResult result = runRule(tree, "rng-discipline");
+    // The determinism token rule owns banned generators; rng-discipline
+    // must not report the same site a second time.
+    analysis::RunOptions options;
+    options.rules = only("rng-discipline");
+    std::erase(options.rules.disabledRules, "determinism");
+    options.paths = { "src" };
+    const lint::RunResult result =
+        analysis::analyzeTree(tree.rootStr(), options);
     ASSERT_EQ(result.findings.size(), 1u);
+    EXPECT_EQ(result.findings[0].rule, "determinism");
     EXPECT_EQ(result.findings[0].file, "src/cache/r.cc");
     EXPECT_EQ(result.findings[0].line, 1);
     EXPECT_NE(result.findings[0].message.find("mt19937"),
@@ -427,8 +435,8 @@ TEST(AnalysisInclude, HeaderCycleIsReported)
 TEST(AnalysisSuppression, InlineWaiverCoversSemanticFindings)
 {
     TempTree tree;
-    tree.add("src/cache/r.cc",
-             "void f() { std::mt19937 g; g(); }"
+    tree.add("src/sim/r.cc",
+             "void f() { rng::Xoshiro256StarStar r(12345); }"
              " // hllc-lint: allow(rng-discipline) corpus\n");
     EXPECT_TRUE(runRule(tree, "rng-discipline").findings.empty());
 }
@@ -447,8 +455,8 @@ TEST(AnalysisSuppression, StandaloneWaiverCoversNextLine)
 TEST(AnalysisSuppression, WaiverForOtherRuleDoesNotCover)
 {
     TempTree tree;
-    tree.add("src/cache/r.cc",
-             "void f() { std::mt19937 g; g(); }"
+    tree.add("src/sim/r.cc",
+             "void f() { rng::Xoshiro256StarStar r(12345); }"
              " // hllc-lint: allow(determinism) wrong rule\n");
     EXPECT_EQ(runRule(tree, "rng-discipline").findings.size(), 1u);
 }
@@ -475,15 +483,15 @@ TEST(AnalysisSuppression, WaiversCoverLockAndIncludeRules)
 TEST(AnalysisSuppression, BaselineAbsorbsAndReportsStale)
 {
     TempTree tree;
-    tree.add("src/cache/r.cc",
-             "void f() { std::mt19937 g; g(); }\n");
+    tree.add("src/sim/r.cc",
+             "void f() { rng::Xoshiro256StarStar r(12345); }\n");
 
     lint::RunResult first = runRule(tree, "rng-discipline");
     ASSERT_EQ(first.findings.size(), 1u);
     // Semantic findings must carry the line-text fingerprint so the
     // baseline stays stable across unrelated edits above them.
     EXPECT_EQ(first.findings[0].lineText,
-              "void f() { std::mt19937 g; g(); }");
+              "void f() { rng::Xoshiro256StarStar r(12345); }");
 
     const std::string baseline =
         lint::formatBaseline(first.findings) +
@@ -505,7 +513,8 @@ TEST(AnalysisCache, WarmRunHitsEveryFileAndKeepsFindings)
 {
     TempTree tree;
     tree.add("src/cache/a.cc", "int a() { return 1; }\n");
-    tree.add("src/cache/b.cc", "void f() { std::mt19937 g; g(); }\n");
+    tree.add("src/sim/b.cc",
+             "void f() { rng::Xoshiro256StarStar r(12345); }\n");
     const std::string cache = tree.rootStr() + "/.cache";
 
     analysis::RunStats cold, warm;
@@ -630,8 +639,8 @@ TEST(AnalysisIndex, EncodeDecodeRoundTrip)
 TEST(AnalysisSarif, ReportCarriesRuleFileAndLine)
 {
     TempTree tree;
-    tree.add("src/cache/r.cc",
-             "void f() { std::mt19937 g; g(); }\n");
+    tree.add("src/sim/r.cc",
+             "void f() { rng::Xoshiro256StarStar r(12345); }\n");
     const lint::RunResult result = runRule(tree, "rng-discipline");
     ASSERT_EQ(result.findings.size(), 1u);
 
@@ -640,7 +649,7 @@ TEST(AnalysisSarif, ReportCarriesRuleFileAndLine)
     EXPECT_NE(sarif.find("\"name\": \"hllc_lint\""), std::string::npos);
     EXPECT_NE(sarif.find("\"ruleId\": \"rng-discipline\""),
               std::string::npos);
-    EXPECT_NE(sarif.find("\"uri\": \"src/cache/r.cc\""),
+    EXPECT_NE(sarif.find("\"uri\": \"src/sim/r.cc\""),
               std::string::npos);
     EXPECT_NE(sarif.find("\"startLine\": 1"), std::string::npos);
 }

@@ -460,9 +460,6 @@ TEST(LintTree, WalksFindsAndBaselines)
     tree.add("src/cache/bad.cc", "int g() { return rand(); }\n");
 
     analysis::RunOptions options = treeOptions({ "src" });
-    // rand() is also an rng-discipline finding; one rule is enough to
-    // exercise the walk and the baseline.
-    options.rules = without("rng-discipline");
     const lint::RunResult first =
         analysis::analyzeTree(tree.rootStr(), options);
     ASSERT_EQ(first.findings.size(), 1u);

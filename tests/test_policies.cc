@@ -68,6 +68,26 @@ TEST(PolicyNames, RoundTripThroughPolicyFromName)
     EXPECT_FALSE(policyFromName("CP_SD ").has_value());
 }
 
+TEST(PolicyNames, CommaListsParseInOrder)
+{
+    const auto both = policiesFromList("BH,CP_SD");
+    ASSERT_TRUE(both.has_value());
+    EXPECT_EQ(*both,
+              (std::vector<PolicyKind>{ PolicyKind::Bh, PolicyKind::CpSd }));
+    // One trailing comma is tolerated, as the CLIs always have.
+    const auto trailing = policiesFromList("BH,");
+    ASSERT_TRUE(trailing.has_value());
+    EXPECT_EQ(*trailing, std::vector<PolicyKind>{ PolicyKind::Bh });
+}
+
+TEST(PolicyNames, EmptyOrUnknownCommaListsAreRejected)
+{
+    EXPECT_FALSE(policiesFromList("").has_value());
+    EXPECT_FALSE(policiesFromList(",BH").has_value());
+    EXPECT_FALSE(policiesFromList("BH,XX").has_value());
+    EXPECT_FALSE(policiesFromList("BH,,CP_SD").has_value());
+}
+
 TEST(PolicyFlags, CompressionImpliesByteDisabling)
 {
     for (auto kind : allKinds) {

@@ -14,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
 #include <optional>
 #include <string>
 #include <thread>
@@ -24,6 +27,7 @@
 
 #include "common/error.hh"
 #include "common/failpoint.hh"
+#include "common/sync.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/socket.hh"
@@ -63,6 +67,10 @@ connectPort(std::uint16_t port)
     endpoint.tcpPort = port;
     Fd fd = connectTo(endpoint);
     setRecvTimeoutMs(fd.get(), 50);
+    // Without Nagle's algorithm a returned sendAll() has put its bytes
+    // on the wire, so the drain tests know what "arrived" means.
+    const int one = 1;
+    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     return fd;
 }
 
@@ -129,6 +137,44 @@ batchRequest(std::uint64_t id)
     }
     return request;
 }
+
+/**
+ * Collects exceptions thrown on client threads, so a failing client is
+ * reported by an assertion instead of std::terminate.
+ */
+class ClientErrors
+{
+  public:
+    template <typename F>
+    void
+    run(F &&body)
+    {
+        try {
+            body();
+        } catch (const std::exception &e) {
+            MutexLock lock(mutex_);
+            messages_.push_back(e.what());
+        }
+    }
+
+    std::size_t
+    count()
+    {
+        MutexLock lock(mutex_);
+        return messages_.size();
+    }
+
+    std::string
+    first()
+    {
+        MutexLock lock(mutex_);
+        return messages_.empty() ? "" : messages_.front();
+    }
+
+  private:
+    Mutex mutex_;
+    std::vector<std::string> messages_ HLLC_GUARDED_BY(mutex_);
+};
 
 TEST_F(ServeSpec, ReplayRequestRoundTripsThroughTheWireFormat)
 {
@@ -403,12 +449,33 @@ TEST_F(ServeSpec, TruncatedFrameThenEofGetsAnErrorReply)
     server.drain();
 }
 
+TEST_F(ServeSpec, MidFrameStallGraceIsMeasuredInWallTime)
+{
+    int pair[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+    const Fd reader(pair[0]);
+    const Fd writer(pair[1]);
+    setRecvTimeoutMs(reader.get(), 50);
+
+    // Half a length prefix, then silence: the grace must elapse in wall
+    // time, whatever the socket's receive timeout is.
+    const std::uint8_t partial[2] = { 8, 0 };
+    sendAll(writer.get(), partial, sizeof partial);
+    std::vector<std::uint8_t> payload;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW(recvFrame(reader.get(), payload, defaultMaxFrameBytes,
+                           400),
+                 IoError);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(elapsed, std::chrono::milliseconds(400));
+    EXPECT_LT(elapsed, std::chrono::milliseconds(2'000));
+}
+
 TEST_F(ServeSpec, FullShardQueueAnswersOverloadedNotUnboundedGrowth)
 {
     ServerConfig config = testConfig();
     config.shards = 1;
     config.queueDepth = 1;
-    config.batchMax = 1;
     Server server(config);
     server.start();
     const Fd fd = connectPort(server.tcpPort());
@@ -530,33 +597,37 @@ TEST_F(ServeSpec, DrainUnderPipelinedLoadLosesZeroAcceptedRequests)
     constexpr unsigned perClient = 25;
     std::atomic<unsigned> sent{ 0 };
     std::atomic<unsigned> received{ 0 };
+    ClientErrors errors;
     std::vector<std::thread> threads;
     threads.reserve(clients);
     for (unsigned c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
-            const Fd fd = connectPort(port);
-            // Fire the whole pipeline without reading a single reply
-            // (loopback sendAll returns once the bytes are in the
-            // server's receive buffer, so after this loop every frame
-            // is guaranteed to be read and accepted by a reader).
-            for (unsigned i = 0; i < perClient; ++i) {
-                sendRequest(fd, replayRequest(
-                                    1 + c + i * clients, 150));
-                sent.fetch_add(1);
-            }
-            // Then count replies until the drain closes the stream.
-            while (recvResponse(fd))
-                received.fetch_add(1);
+            errors.run([&] {
+                const Fd fd = connectPort(port);
+                // Fire the whole pipeline without reading a single
+                // reply; once sendAll returns the frames sit in the
+                // server's receive buffer, where drain's final sweep
+                // reads and accepts them.
+                for (unsigned i = 0; i < perClient; ++i) {
+                    sendRequest(fd, replayRequest(
+                                        1 + c + i * clients, 150));
+                    sent.fetch_add(1);
+                }
+                // Then count replies until the drain closes the stream.
+                while (recvResponse(fd))
+                    received.fetch_add(1);
+            });
         });
     }
 
     // Begin the drain while requests are still queued and in flight.
-    while (sent.load() < clients * perClient)
+    while (sent.load() < clients * perClient && errors.count() == 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     server.drain();
     for (auto &thread : threads)
         thread.join();
 
+    EXPECT_EQ(errors.count(), 0u) << errors.first();
     const ServerStats stats = server.stats();
     EXPECT_EQ(stats.framesAccepted, clients * perClient);
     EXPECT_EQ(stats.repliesSent, clients * perClient);
@@ -564,6 +635,52 @@ TEST_F(ServeSpec, DrainUnderPipelinedLoadLosesZeroAcceptedRequests)
     EXPECT_EQ(stats.overloaded, 0u);
     // The client-side half of the guarantee: every accepted request's
     // reply was delivered before the connection closed.
+    EXPECT_EQ(received.load(), clients * perClient);
+}
+
+TEST_F(ServeSpec, DrainRightAfterManyConnectsAnswersEveryBacklogFrame)
+{
+    Server server(testConfig());
+    server.start();
+
+    // Many clients connect and pipeline their frames faster than the
+    // daemon accepts them, and the drain starts at once: connections
+    // still in the listen backlog must be accepted and answered, not
+    // reset by the listener's close.
+    constexpr unsigned clients = 32;
+    constexpr unsigned perClient = 4;
+    std::vector<Fd> fds(clients);
+    std::atomic<bool> go{ false };
+    std::atomic<unsigned> received{ 0 };
+    ClientErrors errors;
+    std::vector<std::thread> readers;
+    readers.reserve(clients);
+    for (unsigned c = 0; c < clients; ++c) {
+        readers.emplace_back([&, c] {
+            while (!go.load())
+                std::this_thread::yield();
+            errors.run([&] {
+                while (recvResponse(fds[c]))
+                    received.fetch_add(1);
+            });
+        });
+    }
+    for (unsigned c = 0; c < clients; ++c) {
+        fds[c] = connectPort(server.tcpPort());
+        for (unsigned i = 0; i < perClient; ++i)
+            sendRequest(fds[c], pingRequest(c * perClient + i));
+    }
+    go.store(true);
+    server.drain();
+    for (auto &reader : readers)
+        reader.join();
+
+    EXPECT_EQ(errors.count(), 0u) << errors.first();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.connectionsAccepted, clients);
+    EXPECT_EQ(stats.framesAccepted, clients * perClient);
+    EXPECT_EQ(stats.repliesSent, clients * perClient);
+    EXPECT_EQ(stats.refused, 0u);
     EXPECT_EQ(received.load(), clients * perClient);
 }
 

@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -79,25 +78,13 @@ usage(const char *prog)
     return 2;
 }
 
-PolicyKind
-parsePolicy(const std::string &name)
-{
-    if (const auto kind = hybrid::policyFromName(name))
-        return *kind;
-    fatal("unknown policy '%s'", name.c_str());
-}
-
 std::vector<PolicyKind>
 parsePolicyList(const std::string &arg)
 {
-    std::vector<PolicyKind> policies;
-    std::stringstream stream(arg);
-    std::string token;
-    while (std::getline(stream, token, ','))
-        policies.push_back(parsePolicy(token));
-    if (policies.empty())
-        fatal("empty policy list '%s'", arg.c_str());
-    return policies;
+    if (auto policies = hybrid::policiesFromList(arg))
+        return *policies;
+    fatal("unknown policy in list '%s' (or the list is empty)",
+          arg.c_str());
 }
 
 std::vector<PolicyKind>

@@ -38,25 +38,13 @@ using hybrid::PolicyKind;
 namespace
 {
 
-PolicyKind
-parsePolicy(const std::string &name)
-{
-    if (const auto kind = hybrid::policyFromName(name))
-        return *kind;
-    fatal("unknown policy '%s'", name.c_str());
-}
-
 std::vector<PolicyKind>
-parsePolicyList(const char *arg)
+parsePolicyList(const std::string &arg)
 {
-    std::vector<PolicyKind> policies;
-    std::stringstream stream(arg);
-    std::string token;
-    while (std::getline(stream, token, ','))
-        policies.push_back(parsePolicy(token));
-    if (policies.empty())
-        fatal("empty policy list '%s'", arg);
-    return policies;
+    if (auto policies = hybrid::policiesFromList(arg))
+        return *policies;
+    fatal("unknown policy in list '%s' (or the list is empty)",
+          arg.c_str());
 }
 
 /** Everything one grid cell reports, pre-formatted off-thread. */

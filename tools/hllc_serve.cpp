@@ -4,7 +4,7 @@
  *
  * Usage:
  *   hllc_serve [--socket <path> | --port <n>] [--shards N]
- *              [--queue-depth N] [--batch-max N] [--stats-out <f>.json]
+ *              [--queue-depth N] [--stats-out <f>.json]
  *              [--stats-interval-ms N] [--max-refs N]
  *              [--max-batch-events N]
  *
@@ -36,8 +36,8 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--socket <path> | --port <n>] [--shards N]\n"
-        "          [--queue-depth N] [--batch-max N]\n"
-        "          [--stats-out <file>.json] [--stats-interval-ms N]\n"
+        "          [--queue-depth N] [--stats-out <file>.json]\n"
+        "          [--stats-interval-ms N]\n"
         "          [--max-refs N] [--max-batch-events N]\n",
         argv0);
     return 2;
@@ -82,11 +82,6 @@ main(int argc, char **argv)
             if (!n)
                 fatal("bad --queue-depth '%s'", value);
             config.queueDepth = *n;
-        } else if (want("--batch-max")) {
-            const auto n = parseUnsigned(value, 1, 4096);
-            if (!n)
-                fatal("bad --batch-max '%s'", value);
-            config.batchMax = *n;
         } else if (want("--stats-out")) {
             config.statsOut = value;
         } else if (want("--stats-interval-ms")) {
@@ -136,11 +131,12 @@ main(int argc, char **argv)
 
     const serve::ServerStats stats = server.stats();
     std::printf("hllc-serve: drained: %s frames accepted, %s replies "
-                "sent, %s reply failures, %s overloaded\n",
+                "sent, %s reply failures, %s overloaded, %s refused\n",
                 formatU64(stats.framesAccepted).c_str(),
                 formatU64(stats.repliesSent).c_str(),
                 formatU64(stats.replyFailures).c_str(),
-                formatU64(stats.overloaded).c_str());
+                formatU64(stats.overloaded).c_str(),
+                formatU64(stats.refused).c_str());
     if (stats.framesAccepted != stats.repliesSent + stats.replyFailures) {
         // The drain guarantee is the point of the daemon: make a
         // violation loud enough for CI to catch.
