@@ -38,12 +38,7 @@ main()
         // Re-run the phase with a dedicated LLC so we can read its
         // counters (PhaseSummary only carries aggregates).
         const auto llc_config = config.llcConfig(policy);
-        std::unique_ptr<fault::EnduranceModel> endurance;
-        std::unique_ptr<fault::FaultMap> map;
-        endurance = std::make_unique<fault::EnduranceModel>(
-            experiment.makeEndurance(llc_config));
-        map = std::make_unique<fault::FaultMap>(
-            *endurance, hybrid::InsertionPolicy(policy).granularity());
+        const auto map = hybrid::makeFaultMap(llc_config);
         hybrid::HybridLlc llc(llc_config, map.get());
         const auto agg = forecast::replayAllTraces(
             experiment.tracePtrs(), llc, config.timing, 0.2);

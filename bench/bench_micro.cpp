@@ -35,7 +35,6 @@
 #include "common/numfmt.hh"
 #include "common/serialize.hh"
 #include "compression/compressor.hh"
-#include "fault/fault_map.hh"
 #include "hierarchy/hierarchy.hh"
 #include "hybrid/hybrid_llc.hh"
 #include "replay/replayer.hh"
@@ -146,14 +145,8 @@ timePolicy(const replay::LlcTrace &trace,
            const hybrid::HybridLlcConfig &config, unsigned repeats)
 {
     const double secs = bestOf(repeats, [&] {
-        const fault::NvmGeometry geom{ config.numSets, config.nvmWays,
-                                       blockBytes };
-        const auto granularity =
-            hybrid::InsertionPolicy(config.policy).granularity();
-        const fault::EnduranceModel endurance(geom, { 1e12, 0.0 },
-                                              Xoshiro256StarStar(1));
-        fault::FaultMap map(endurance, granularity);
-        hybrid::HybridLlc llc(config, &map);
+        const auto map = hybrid::makeFaultMap(config);
+        hybrid::HybridLlc llc(config, map.get());
         const replay::TraceReplayer replayer(0.2);
         replayer.replay(trace, llc);
     });

@@ -8,10 +8,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/argparse.hh"
 #include "common/logging.hh"
 #include "sim/experiment.hh"
+#include "workload/mixes.hh"
 
 using namespace hllc;
 using hybrid::PolicyKind;
@@ -37,12 +38,18 @@ main(int argc, char **argv)
     setLogLevel(LogLevel::Warn);
     const PolicyKind policy =
         argc > 1 ? parsePolicy(argv[1]) : PolicyKind::CpSd;
-    const std::size_t num_mixes =
-        argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 10;
+    const auto num_mixes = parseUnsigned(
+        argc > 2 ? argv[2] : "10", 1,
+        static_cast<unsigned>(workload::tableVMixes().size()));
+    if (!num_mixes) {
+        fatal("bad num_mixes '%s' (expected 1..%zu)\n"
+              "usage: %s [policy] [num_mixes]",
+              argv[2], workload::tableVMixes().size(), argv[0]);
+    }
 
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     sim::printConfigHeader(config, "lifetime forecast");
-    const sim::Experiment experiment(config, num_mixes);
+    const sim::Experiment experiment(config, *num_mixes);
 
     const double upper = experiment.upperBoundIpc();
     std::printf("# 16w-SRAM upper-bound IPC: %.4f\n", upper);

@@ -9,10 +9,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/argparse.hh"
 #include "common/logging.hh"
 #include "sim/experiment.hh"
+#include "workload/mixes.hh"
 
 using namespace hllc;
 using hybrid::PolicyKind;
@@ -21,12 +22,18 @@ int
 main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
-    const std::size_t num_mixes =
-        argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 10;
+    const auto num_mixes = parseUnsigned(
+        argc > 1 ? argv[1] : "10", 1,
+        static_cast<unsigned>(workload::tableVMixes().size()));
+    if (!num_mixes) {
+        fatal("bad num_mixes '%s' (expected 1..%zu)\n"
+              "usage: %s [num_mixes]",
+              argv[1], workload::tableVMixes().size(), argv[0]);
+    }
 
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     sim::printConfigHeader(config, "policy comparison (100% NVM capacity)");
-    const sim::Experiment experiment(config, num_mixes);
+    const sim::Experiment experiment(config, *num_mixes);
 
     struct Row
     {

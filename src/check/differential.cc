@@ -270,15 +270,13 @@ diffResume(const LlcTrace &trace, const HybridLlcConfig &config,
                 "resume diff forecasts the NVM part; nvmWays must be > 0");
     // A short forecast over a deliberately weak endurance fabric, so
     // capacity actually moves within a handful of steps.
-    const fault::NvmGeometry geom{ config.numSets, config.nvmWays,
-                                   blockBytes };
     forecast::ForecastConfig fc;
     fc.maxSteps = 4;
     fc.warmupFraction = 0.0;
 
     const auto run = [&](const forecast::RunOptions &options) {
-        const fault::EnduranceModel model(geom, { 1e8, 0.2 },
-                                          Xoshiro256StarStar(3));
+        const fault::EnduranceModel model(
+            config.nvmGeometry(), { 1e8, 0.2 }, Xoshiro256StarStar(3));
         forecast::ForecastEngine engine(model, config, { &trace },
                                         hierarchy::TimingParams{}, fc);
         return engine.run(options);

@@ -73,7 +73,7 @@ checkLlcStructure(const HybridLlc &llc)
                 const unsigned stored =
                     compressed ? l.ecbBytes
                                : static_cast<unsigned>(blockBytes);
-                const unsigned cap = llc.faultMap()->frameCapacity(frame);
+                const unsigned cap = llc.faultMap()->liveBytes(frame);
                 if (cap < stored) {
                     std::ostringstream s;
                     s << "set " << set << " way " << w << ": resident needs "

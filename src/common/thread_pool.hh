@@ -108,14 +108,14 @@ class ThreadPool
 
 /**
  * Number of parallel jobs to use by default: the HLLC_JOBS environment
- * variable if set (values < 1 clamp to 1), otherwise
- * hardware_concurrency().
+ * variable if it is a positive integer, otherwise (with a warning when
+ * it is set but malformed) hardware_concurrency().
  */
 unsigned defaultJobs();
 
 /**
- * Run body(0) .. body(n - 1) on @p jobs workers (inline when jobs <= 1
- * or n <= 1) and wait for all of them. Iterations are dispatched in
+ * Run body(0) .. body(n - 1) on min(@p jobs, @p n) workers (inline when
+ * jobs <= 1 or n <= 1) and wait for all of them. Iterations are dispatched in
  * index order; if any iteration throws, the first (lowest-index)
  * exception is rethrown after every iteration has finished.
  *

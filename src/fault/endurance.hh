@@ -40,6 +40,8 @@ struct NvmGeometry
     {
         return set * numNvmWays + nvm_way;
     }
+
+    bool operator==(const NvmGeometry &) const = default;
 };
 
 /** Parameters of the endurance distribution. */

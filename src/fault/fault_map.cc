@@ -12,22 +12,22 @@
 namespace hllc::fault
 {
 
-FaultMap::FaultMap(const EnduranceModel &endurance,
+FaultMap::FaultMap(const NvmGeometry &geometry,
                    DisableGranularity granularity,
                    WearDistribution distribution)
-    : endurance_(&endurance), granularity_(granularity),
+    : geometry_(geometry), granularity_(granularity),
       distribution_(distribution)
 {
-    const auto frames = geometry().numFrames();
-    HLLC_ASSERT(geometry().frameBytes == 64,
+    const auto frames = geometry.numFrames();
+    HLLC_ASSERT(geometry.frameBytes == 64,
                 "the 64-bit live mask requires 64-byte frames");
 
     liveMask_.assign(frames, ~std::uint64_t{0});
     liveCount_.assign(frames, static_cast<std::uint8_t>(64));
     pendingBytes_.assign(frames, 0.0);
     pendingCount_.assign(frames, 0.0);
-    writes_.assign(geometry().numBytes(), 0.0);
-    totalLive_ = geometry().numBytes();
+    writes_.assign(geometry.numBytes(), 0.0);
+    totalLive_ = geometry.numBytes();
 }
 
 double
@@ -71,10 +71,12 @@ FaultMap::killFrame(std::uint32_t frame)
 }
 
 std::uint64_t
-FaultMap::age(double scale)
+FaultMap::age(const EnduranceModel &limits, double scale)
 {
     metrics::ScopedPhaseTimer phase_timer(metrics::Phase::FaultMapAge);
     HLLC_ASSERT(scale >= 0.0);
+    HLLC_ASSERT(limits.geometry() == geometry(),
+                "endurance limits do not cover the fault map's geometry");
     std::uint64_t newly_disabled = 0;
 
     const unsigned frame_bytes = geometry().frameBytes;
@@ -118,7 +120,7 @@ FaultMap::age(double scale)
                 continue;
             const std::size_t idx = byteIndex(f, b);
             writes_[idx] += wear;
-            if (writes_[idx] > endurance_->limit(f, b)) {
+            if (writes_[idx] > limits.limit(f, b)) {
                 if (granularity_ == DisableGranularity::Frame) {
                     frame_hit = true;
                 } else {

@@ -13,6 +13,11 @@
  * wear-leveling rotation distributes each frame's write traffic uniformly
  * over its live bytes (Sec. III-B), aging spreads a frame's byte-write
  * total evenly across its currently-live bytes.
+ *
+ * The map is built from the NVM geometry alone. Per-byte write limits
+ * (EnduranceModel) are an argument of age(): only the forecast's
+ * prediction phases compare wear against them, so replay-only callers
+ * never sample an endurance fabric.
  */
 
 #ifndef HLLC_FAULT_FAULT_MAP_HH
@@ -54,15 +59,25 @@ class FaultMap
 {
   public:
     /**
-     * @param endurance shared per-byte write limits
+     * A pristine map (every byte live, no wear) over @p geometry.
+     *
+     * @param geometry NVM frames covered (64-byte frames)
      * @param granularity byte- or frame-level disabling
      * @param distribution intra-frame wear distribution model
      */
-    FaultMap(const EnduranceModel &endurance,
-             DisableGranularity granularity,
+    FaultMap(const NvmGeometry &geometry, DisableGranularity granularity,
              WearDistribution distribution = WearDistribution::Leveled);
 
-    const NvmGeometry &geometry() const { return endurance_->geometry(); }
+    /**
+     * The geometry constructor over @p limits' geometry (not kept). It
+     * exists only for perfbench/src/{campaign,scenarios}.cc.
+     */
+    FaultMap(const EnduranceModel &limits, DisableGranularity granularity,
+             WearDistribution distribution = WearDistribution::Leveled)
+        : FaultMap(limits.geometry(), granularity, distribution)
+    {}
+
+    const NvmGeometry &geometry() const { return geometry_; }
     DisableGranularity granularity() const { return granularity_; }
 
     /** 64-bit live mask of @p frame (bit i set = byte i usable). */
@@ -71,26 +86,14 @@ class FaultMap
         return liveMask_[frame];
     }
 
-    /** Number of live (usable) bytes in @p frame. */
+    /**
+     * Number of live (usable) bytes in @p frame: its effective data
+     * capacity, the largest ECB it can hold (0 or frameBytes under frame
+     * disabling).
+     */
     unsigned liveBytes(std::uint32_t frame) const
     {
         return liveCount_[frame];
-    }
-
-    /**
-     * Effective data capacity of @p frame: the largest ECB it can hold.
-     * Equal to liveBytes() under byte disabling; 0 or frameBytes under
-     * frame disabling.
-     */
-    unsigned frameCapacity(std::uint32_t frame) const
-    {
-        return liveCount_[frame];
-    }
-
-    /** Whether @p frame can hold at least a @p ecb_bytes-byte block. */
-    bool fits(std::uint32_t frame, unsigned ecb_bytes) const
-    {
-        return liveCount_[frame] >= ecb_bytes;
     }
 
     /** Live bytes across the whole NVM part. */
@@ -125,12 +128,13 @@ class FaultMap
      * Apply the wear recorded since the previous age() call, scaled by
      * @p scale (forecast prediction phases replay a measured write-rate
      * window over a longer wall-clock span). Bytes whose cumulative
-     * writes exceed their endurance limit become faulty; under frame
-     * disabling the first faulty byte retires the whole frame.
+     * writes exceed their limit in @p limits become faulty; under frame
+     * disabling the first faulty byte retires the whole frame. @p limits
+     * must cover the map's geometry.
      *
      * @return number of bytes newly disabled
      */
-    std::uint64_t age(double scale = 1.0);
+    std::uint64_t age(const EnduranceModel &limits, double scale);
 
     /** Discard wear recorded since the last age() without applying it. */
     void discardPending();
@@ -149,8 +153,8 @@ class FaultMap
 
     /**
      * Serialise the complete mutable state (live masks, cumulative and
-     * pending wear). The endurance model, granularity and distribution
-     * are configuration, re-derived by the owner on restore.
+     * pending wear). The geometry, granularity and distribution are
+     * configuration, re-derived by the owner on restore.
      */
     void snapshot(serial::Encoder &enc) const;
 
@@ -172,7 +176,7 @@ class FaultMap
 
     void disableByte(std::uint32_t frame, unsigned byte);
 
-    const EnduranceModel *endurance_;
+    NvmGeometry geometry_;
     DisableGranularity granularity_;
     WearDistribution distribution_;
 

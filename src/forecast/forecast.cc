@@ -126,15 +126,14 @@ ForecastEngine::ForecastEngine(const fault::EnduranceModel &endurance,
 
     HLLC_ASSERT(!traces_.empty(), "forecast needs at least one trace");
     if (llcConfig_.nvmWays > 0) {
-        HLLC_ASSERT(endurance_.geometry().numSets == llcConfig_.numSets &&
-                    endurance_.geometry().numNvmWays == llcConfig_.nvmWays,
+        HLLC_ASSERT(endurance_.geometry() == llcConfig_.nvmGeometry(),
                     "endurance geometry does not match LLC config");
     }
 }
 
 ForecastPoint
 ForecastEngine::simulatePhase(hybrid::HybridLlc &llc,
-                              fault::FaultMap &map,
+                              const fault::FaultMap *map,
                               Seconds now, Seconds &window_seconds,
                               PhaseAggregate &agg_out)
 {
@@ -148,8 +147,7 @@ ForecastEngine::simulatePhase(hybrid::HybridLlc &llc,
 
     ForecastPoint point;
     point.time = now;
-    point.capacity =
-        llcConfig_.nvmWays == 0 ? 1.0 : map.effectiveCapacity();
+    point.capacity = map == nullptr ? 1.0 : map->effectiveCapacity();
     point.meanIpc = agg.meanIpc;
     point.hitRate = agg.hitRate;
     point.nvmBytesPerSecond = agg.measuredSeconds <= 0.0
@@ -162,7 +160,7 @@ void
 ForecastEngine::samplePoint(std::size_t step, const ForecastPoint &point,
                             const PhaseAggregate &agg,
                             const hybrid::HybridLlc &llc,
-                            const fault::FaultMap &map)
+                            const fault::FaultMap *map)
 {
     // Series collection is opt-out: cells that never export or
     // checkpoint skip the sampling (and the per-frame wear scan) rather
@@ -188,23 +186,21 @@ ForecastEngine::samplePoint(std::size_t step, const ForecastPoint &point,
                     ? static_cast<double>(llc.dueling()->winner())
                     : -1.0);
 
-    if (llcConfig_.nvmWays == 0) {
+    if (map == nullptr) {
         metrics_.series("live_frame_fraction").append(1.0);
         return;
     }
 
-    const std::uint32_t frames = map.geometry().numFrames();
+    const std::uint32_t frames = map->geometry().numFrames();
     metrics_.series("live_frame_fraction")
-        .append(frames == 0
-                    ? 1.0
-                    : 1.0 - static_cast<double>(map.deadFrames()) /
-                                static_cast<double>(frames));
+        .append(1.0 - static_cast<double>(map->deadFrames()) /
+                          static_cast<double>(frames));
 
     // Wear-histogram snapshot: how many frames retain how many live
     // bytes (the shape behind the capacity curve, fig 10 style).
     std::vector<std::uint64_t> row(frameLiveBuckets, 0);
     for (std::uint32_t f = 0; f < frames; ++f) {
-        const unsigned live = map.liveBytes(f);
+        const unsigned live = map->liveBytes(f);
         std::size_t bucket = static_cast<std::size_t>(
             static_cast<double>(live) / frameLiveBucketBytes);
         if (bucket >= frameLiveBuckets)
@@ -221,7 +217,7 @@ void
 ForecastEngine::saveCheckpoint(const std::string &path, std::size_t step,
                                Seconds now,
                                const std::vector<ForecastPoint> &series,
-                               const fault::FaultMap &map,
+                               const fault::FaultMap *map,
                                const hybrid::HybridLlc &llc) const
 {
     metrics::ScopedPhaseTimer timer(metrics::Phase::CheckpointWrite);
@@ -248,8 +244,8 @@ ForecastEngine::saveCheckpoint(const std::string &path, std::size_t step,
         seri.f64(p.nvmBytesPerSecond);
     }
 
-    if (llcConfig_.nvmWays > 0)
-        map.snapshot(container.add("fmap"));
+    if (map != nullptr)
+        map->snapshot(container.add("fmap"));
     if (llc.dueling() != nullptr)
         llc.dueling()->snapshot(container.add("duel"));
 
@@ -264,7 +260,7 @@ ForecastEngine::saveCheckpoint(const std::string &path, std::size_t step,
 
 std::size_t
 ForecastEngine::loadCheckpoint(const std::string &path,
-                               fault::FaultMap &map,
+                               fault::FaultMap *map,
                                hybrid::HybridLlc &llc,
                                std::vector<ForecastPoint> &series,
                                Seconds &now)
@@ -308,9 +304,9 @@ ForecastEngine::loadCheckpoint(const std::string &path,
 
     // Mutations last: a throw above leaves the caller's state untouched,
     // and the subsystem restores below validate before they mutate.
-    if (llcConfig_.nvmWays > 0) {
+    if (map != nullptr) {
         serial::Decoder fmap = container.open("fmap");
-        map.restore(fmap);
+        map->restore(fmap);
     }
     if (llc.dueling() != nullptr) {
         serial::Decoder duel = container.open("duel");
@@ -330,15 +326,8 @@ ForecastEngine::loadCheckpoint(const std::string &path,
 std::vector<ForecastPoint>
 ForecastEngine::run(const RunOptions &options)
 {
-    const auto granularity =
-        hybrid::InsertionPolicy(llcConfig_.policy).granularity();
-    const auto make_map = [&] {
-        return std::make_unique<fault::FaultMap>(
-            endurance_, granularity, config_.wearDistribution);
-    };
-    auto map = make_map();
-    auto llc = std::make_unique<hybrid::HybridLlc>(
-        llcConfig_, llcConfig_.nvmWays > 0 ? map.get() : nullptr);
+    auto map = hybrid::makeFaultMap(llcConfig_, config_.wearDistribution);
+    auto llc = std::make_unique<hybrid::HybridLlc>(llcConfig_, map.get());
 
     std::vector<ForecastPoint> series;
     Seconds now = 0.0;
@@ -352,8 +341,8 @@ ForecastEngine::run(const RunOptions &options)
     const bool checkpointing = !options.checkpointPath.empty();
     if (checkpointing && options.resume) {
         try {
-            step0 = loadCheckpoint(options.checkpointPath, *map, *llc,
-                                   series, now);
+            step0 = loadCheckpoint(options.checkpointPath, map.get(),
+                                   *llc, series, now);
             debugLog("resumed '%s' at step %zu (t = %.3f months)",
                      options.checkpointPath.c_str(), step0,
                      now / secondsPerMonth);
@@ -362,9 +351,10 @@ ForecastEngine::run(const RunOptions &options)
             // run — and must not leave half-restored state behind.
             warn("cannot resume from '%s' (%s); restarting from scratch",
                  options.checkpointPath.c_str(), e.what());
-            map = make_map();
-            llc = std::make_unique<hybrid::HybridLlc>(
-                llcConfig_, llcConfig_.nvmWays > 0 ? map.get() : nullptr);
+            map = hybrid::makeFaultMap(llcConfig_,
+                                       config_.wearDistribution);
+            llc = std::make_unique<hybrid::HybridLlc>(llcConfig_,
+                                                      map.get());
             series.clear();
             metrics_.clear();
             stats_.resetAll();
@@ -381,7 +371,7 @@ ForecastEngine::run(const RunOptions &options)
         if (checkpointing && interruptRequested()) {
             try {
                 saveCheckpoint(options.checkpointPath, step, now, series,
-                               *map, *llc);
+                               map.get(), *llc);
             } catch (const IoError &e) {
                 warn("final checkpoint '%s' failed: %s",
                      options.checkpointPath.c_str(), e.what());
@@ -395,7 +385,7 @@ ForecastEngine::run(const RunOptions &options)
             if (checkpointing) {
                 try {
                     saveCheckpoint(options.checkpointPath, step, now,
-                                   series, *map, *llc);
+                                   series, map.get(), *llc);
                 } catch (const IoError &e) {
                     warn("final checkpoint '%s' failed: %s",
                          options.checkpointPath.c_str(), e.what());
@@ -409,7 +399,7 @@ ForecastEngine::run(const RunOptions &options)
             executed >= options.stopAfterSteps) {
             if (checkpointing) {
                 saveCheckpoint(options.checkpointPath, step, now, series,
-                               *map, *llc);
+                               map.get(), *llc);
             }
             return series;
         }
@@ -418,21 +408,22 @@ ForecastEngine::run(const RunOptions &options)
         // a warning to scroll past.
         if (checkpointing && step != step0 && (step - step0) % every == 0) {
             saveCheckpoint(options.checkpointPath, step, now, series,
-                           *map, *llc);
+                           map.get(), *llc);
         }
         ++executed;
 
-        map->discardPending();
+        if (map != nullptr)
+            map->discardPending();
         Seconds window_seconds = 0.0;
         PhaseAggregate agg;
         series.push_back(
-            simulatePhase(*llc, *map, now, window_seconds, agg));
+            simulatePhase(*llc, map.get(), now, window_seconds, agg));
         ++stats_.counter("simulate_phases");
-        samplePoint(step, series.back(), agg, *llc, *map);
+        samplePoint(step, series.back(), agg, *llc, map.get());
 
         const ForecastPoint &point = series.back();
         if (point.capacity <= config_.capacityFloor ||
-            now >= config_.maxTime || llcConfig_.nvmWays == 0 ||
+            now >= config_.maxTime || map == nullptr ||
             window_seconds <= 0.0) {
             break;
         }
@@ -443,7 +434,7 @@ ForecastEngine::run(const RunOptions &options)
         delta = std::min(delta, config_.maxTime - now);
         if (delta <= 0.0)
             break;
-        map->age(delta / window_seconds);
+        map->age(endurance_, delta / window_seconds);
         ++stats_.counter("predict_phases");
         stats_.histogram("aging_step_months", agingStepBuckets,
                          agingStepBucketMonths)

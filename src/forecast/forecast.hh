@@ -134,7 +134,8 @@ class ForecastEngine
   public:
     /**
      * @param endurance shared per-byte limits (same fabric across the
-     *        policies being compared)
+     *        policies being compared); read only by the prediction
+     *        phases, which age the engine's own fault map against it
      * @param llc_config LLC geometry + policy under forecast
      * @param traces the workload's captured mixes (all replayed each
      *        simulation phase)
@@ -180,9 +181,12 @@ class ForecastEngine
     const StatGroup &stats() const { return stats_; }
 
   private:
-    /** One simulation phase; returns the sampled point (capacity at t). */
+    /**
+     * One simulation phase; returns the sampled point (capacity at t).
+     * Here and below, @p map is null when the LLC has no NVM ways.
+     */
     ForecastPoint simulatePhase(hybrid::HybridLlc &llc,
-                                fault::FaultMap &map,
+                                const fault::FaultMap *map,
                                 Seconds now, Seconds &window_seconds,
                                 PhaseAggregate &agg_out);
 
@@ -190,13 +194,13 @@ class ForecastEngine
     void samplePoint(std::size_t step, const ForecastPoint &point,
                      const PhaseAggregate &agg,
                      const hybrid::HybridLlc &llc,
-                     const fault::FaultMap &map);
+                     const fault::FaultMap *map);
 
     /** Persist the loop state at a step boundary (atomic container). */
     void saveCheckpoint(const std::string &path, std::size_t step,
                         Seconds now,
                         const std::vector<ForecastPoint> &series,
-                        const fault::FaultMap &map,
+                        const fault::FaultMap *map,
                         const hybrid::HybridLlc &llc) const;
 
     /**
@@ -206,7 +210,7 @@ class ForecastEngine
      * stats_ along with the simulation state.
      */
     std::size_t loadCheckpoint(const std::string &path,
-                               fault::FaultMap &map,
+                               fault::FaultMap *map,
                                hybrid::HybridLlc &llc,
                                std::vector<ForecastPoint> &series,
                                Seconds &now);

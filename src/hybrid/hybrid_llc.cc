@@ -79,8 +79,7 @@ HybridLlc::HybridLlc(const HybridLlcConfig &config,
     if (config.nvmWays > 0) {
         HLLC_ASSERT(faultMap_ != nullptr,
                     "NVM ways require a fault map");
-        HLLC_ASSERT(faultMap_->geometry().numSets == config.numSets &&
-                    faultMap_->geometry().numNvmWays == config.nvmWays,
+        HLLC_ASSERT(faultMap_->geometry() == config.nvmGeometry(),
                     "fault-map geometry mismatch");
         HLLC_ASSERT(faultMap_->granularity() == policy_.granularity(),
                     "policy %s needs %s disabling",
@@ -140,7 +139,7 @@ HybridLlc::frameCapacity(std::uint32_t set, std::uint32_t way) const
 {
     if (!isNvmWay(way))
         return blockBytes;
-    return faultMap_->frameCapacity(frameOf(set, way));
+    return faultMap_->liveBytes(frameOf(set, way));
 }
 
 int
@@ -621,6 +620,17 @@ HybridLlc::reset()
     std::fill(valid_.begin(), valid_.end(), 0);
     std::fill(dirty_.begin(), dirty_.end(), 0);
     tracker_.clear();
+}
+
+std::unique_ptr<fault::FaultMap>
+makeFaultMap(const HybridLlcConfig &config,
+             fault::WearDistribution distribution)
+{
+    if (config.nvmWays == 0)
+        return nullptr;
+    return std::make_unique<fault::FaultMap>(
+        config.nvmGeometry(), InsertionPolicy(config.policy).granularity(),
+        distribution);
 }
 
 } // namespace hllc::hybrid

@@ -120,6 +120,13 @@ struct HybridLlcConfig
     Cycle cyclesPerEvent = 20;
 
     std::uint32_t totalWays() const { return sramWays + nvmWays; }
+
+    /** Geometry of the NVM part: one frame per NVM way of each set. */
+    fault::NvmGeometry
+    nvmGeometry() const
+    {
+        return { numSets, nvmWays, static_cast<std::uint32_t>(blockBytes) };
+    }
 };
 
 class HybridLlc
@@ -318,6 +325,16 @@ class HybridLlc
     StatGroup stats_;
     HotCounters ctr_;
 };
+
+/**
+ * The pristine fault map @p config needs: its NVM geometry at its
+ * policy's disabling granularity, with @p distribution wear. Null when
+ * the config has no NVM ways.
+ */
+std::unique_ptr<fault::FaultMap>
+makeFaultMap(const HybridLlcConfig &config,
+             fault::WearDistribution distribution =
+                 fault::WearDistribution::Leveled);
 
 } // namespace hllc::hybrid
 

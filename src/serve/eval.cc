@@ -55,15 +55,12 @@ Evaluator::replayTrace(const replay::LlcTrace &trace,
     if (cpth > 0)
         params.fixedCpth = cpth;
     const hybrid::HybridLlcConfig llc_config =
-        *kind == hybrid::PolicyKind::SramOnly
-            ? config_.llcConfigSramBound(config_.sramWays +
-                                         config_.nvmWays)
-            : config_.llcConfig(*kind, params);
+        config_.llcConfig(*kind, params);
 
-    // Pristine endurance fabric (capacities never bind): the serving
-    // path evaluates policies, not wear trajectories, and a fresh LLC
-    // per request is what makes the result a pure function of the
-    // request bytes.
+    // Pristine fault map (capacities never bind): the serving path
+    // evaluates policies, not wear trajectories, and a fresh LLC per
+    // request is what makes the result a pure function of the request
+    // bytes.
     check::FastRig rig = check::makeFastRig(llc_config);
     hybrid::HybridLlc &llc = *rig.llc;
     const replay::TraceReplayer replayer(warmup_fraction);

@@ -71,11 +71,7 @@ Experiment::makeEndurance(const hybrid::HybridLlcConfig &llc) const
     // Same seed for the same geometry: every policy is forecast over an
     // identical endurance fabric (the paper's fair-comparison setup).
     Xoshiro256StarStar rng(config_.seed ^ 0xe17da1ceULL);
-    const fault::NvmGeometry geom{
-        llc.numSets, llc.nvmWays,
-        static_cast<std::uint32_t>(blockBytes)
-    };
-    return fault::EnduranceModel(geom, config_.endurance, rng);
+    return fault::EnduranceModel(llc.nvmGeometry(), config_.endurance, rng);
 }
 
 ForecastSummary
@@ -109,16 +105,9 @@ Experiment::runPhase(const hybrid::HybridLlcConfig &llc, std::string label,
     if (traces.empty())
         traces = tracePtrs();
 
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    if (llc.nvmWays > 0) {
-        endurance =
-            std::make_unique<fault::EnduranceModel>(makeEndurance(llc));
-        map = std::make_unique<fault::FaultMap>(
-            *endurance, hybrid::InsertionPolicy(llc.policy).granularity());
-        if (capacity < 1.0)
-            degradeUniform(*map, capacity, config_.seed ^ 0xdeadULL);
-    }
+    const std::unique_ptr<fault::FaultMap> map = hybrid::makeFaultMap(llc);
+    if (map != nullptr && capacity < 1.0)
+        degradeUniform(*map, capacity, config_.seed ^ 0xdeadULL);
 
     hybrid::HybridLlc cache(llc, map.get());
     PhaseSummary summary;

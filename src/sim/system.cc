@@ -1,7 +1,5 @@
 #include "sim/system.hh"
 
-#include "common/logging.hh"
-
 namespace hllc::sim
 {
 
@@ -12,16 +10,7 @@ System::System(const SystemConfig &config, const workload::MixSpec &mix,
     const hybrid::HybridLlcConfig llc_config =
         config.llcConfig(policy, params);
 
-    if (llc_config.nvmWays > 0) {
-        Xoshiro256StarStar rng(config.seed ^ 0xe17da1ceULL);
-        endurance_ = std::make_unique<fault::EnduranceModel>(
-            config.nvmGeometry(), config.endurance, rng);
-        const auto granularity =
-            hybrid::InsertionPolicy(policy, params).granularity();
-        faultMap_ = std::make_unique<fault::FaultMap>(*endurance_,
-                                                      granularity);
-    }
-
+    faultMap_ = hybrid::makeFaultMap(llc_config);
     llc_ = std::make_unique<hybrid::HybridLlc>(llc_config,
                                                faultMap_.get());
     sink_ = std::make_unique<hierarchy::HybridLlcSink>(llc_.get());

@@ -1,7 +1,7 @@
 /**
  * @file
  * Full-system assembly: four cores with private stacks, the shared
- * hybrid LLC, its fault/endurance models, and the timing layer — the
+ * hybrid LLC, its fault map, and the timing layer — the
  * gem5-analogue "detailed" simulation used by the examples and the
  * library's quickstart API.
  */
@@ -11,7 +11,6 @@
 
 #include <memory>
 
-#include "fault/endurance.hh"
 #include "fault/fault_map.hh"
 #include "hierarchy/hierarchy.hh"
 #include "hierarchy/trace_recorder.hh"
@@ -45,13 +44,11 @@ class System
     hybrid::HybridLlc &llc() { return *llc_; }
     const hybrid::HybridLlc &llc() const { return *llc_; }
     fault::FaultMap &faultMap() { return *faultMap_; }
-    const fault::EnduranceModel &endurance() const { return *endurance_; }
     hierarchy::MixSimulation &mixSim() { return *mixSim_; }
     const SystemConfig &config() const { return config_; }
 
   private:
     SystemConfig config_;
-    std::unique_ptr<fault::EnduranceModel> endurance_;
     std::unique_ptr<fault::FaultMap> faultMap_;
     std::unique_ptr<hybrid::HybridLlc> llc_;
     std::unique_ptr<hierarchy::HybridLlcSink> sink_;

@@ -11,6 +11,7 @@
 
 #include <memory>
 
+#include "check/rig.hh"
 #include "hierarchy/hierarchy.hh"
 #include "hierarchy/trace_recorder.hh"
 #include "replay/replayer.hh"
@@ -28,17 +29,9 @@ constexpr std::uint32_t kSets = 64;
 constexpr std::uint64_t kRefs = 25'000;
 constexpr std::uint64_t kSeed = 1234;
 
-struct LlcRig
-{
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    std::unique_ptr<HybridLlc> llc;
-};
-
-LlcRig
+check::FastRig
 makeLlc(PolicyKind policy)
 {
-    LlcRig rig;
     HybridLlcConfig config;
     config.numSets = kSets;
     config.sramWays = 4;
@@ -46,15 +39,7 @@ makeLlc(PolicyKind policy)
     config.policy = policy;
     config.epochCycles = 20'000;
 
-    const fault::NvmGeometry geom{ kSets, config.nvmWays, 64 };
-    rig.endurance = std::make_unique<fault::EnduranceModel>(
-        geom, fault::EnduranceParams{ 1e12, 0.0 },
-        Xoshiro256StarStar(9));
-    rig.map = std::make_unique<fault::FaultMap>(
-        *rig.endurance,
-        hybrid::InsertionPolicy(policy).granularity());
-    rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
-    return rig;
+    return check::makeFastRig(config);
 }
 
 class CaptureFidelity : public ::testing::TestWithParam<PolicyKind>
@@ -69,7 +54,7 @@ TEST_P(CaptureFidelity, LiveAndReplayedLlcAgreeExactly)
                                                         4096, 16 };
 
     // Detailed path: the LLC is live behind the private stacks.
-    LlcRig live = makeLlc(policy);
+    check::FastRig live = makeLlc(policy);
     {
         hierarchy::HybridLlcSink sink(live.llc.get());
         hierarchy::MixSimulation sim(mix, kSets * 16, private_config,
@@ -81,7 +66,7 @@ TEST_P(CaptureFidelity, LiveAndReplayedLlcAgreeExactly)
     // event-for-event behaviour is comparable).
     const replay::LlcTrace trace = hierarchy::captureTrace(
         mix, kSets * 16, private_config, kRefs, kSeed);
-    LlcRig replayed = makeLlc(policy);
+    check::FastRig replayed = makeLlc(policy);
     replay::TraceReplayer(0.0).replay(trace, *replayed.llc);
 
     // Every counter of the two LLCs must agree exactly.

@@ -117,11 +117,10 @@ TEST(SetDuelingSnapshot, RoundTripsAndRejectsMismatch)
 class FaultMapSnapshot : public ::testing::Test
 {
   protected:
-    static fault::EnduranceModel
-    endurance(std::uint32_t sets = 8)
+    static fault::NvmGeometry
+    geometry(std::uint32_t sets = 8)
     {
-        return { { sets, 2, 64 }, { 100.0, 0.2 },
-                 Xoshiro256StarStar(7) };
+        return { sets, 2, 64 };
     }
 
     static std::vector<std::uint8_t>
@@ -135,17 +134,18 @@ class FaultMapSnapshot : public ::testing::Test
 
 TEST_F(FaultMapSnapshot, RoundTripsFullWearState)
 {
-    const fault::EnduranceModel model = endurance();
-    fault::FaultMap map(model, fault::DisableGranularity::Byte);
+    const fault::EnduranceModel model(geometry(), { 100.0, 0.2 },
+                                      Xoshiro256StarStar(7));
+    fault::FaultMap map(geometry(), fault::DisableGranularity::Byte);
     for (std::uint32_t f = 0; f < map.geometry().numFrames(); ++f)
         map.recordWrite(f, 32 + f);
-    map.age(2.0);
+    map.age(model, 2.0);
     map.killByte(3, 5);
     map.killFrame(7);
     map.recordWrite(2, 48); // pending wear must round-trip too
 
     const auto state = stateOf(map);
-    fault::FaultMap restored(model, fault::DisableGranularity::Byte);
+    fault::FaultMap restored(geometry(), fault::DisableGranularity::Byte);
     serial::Decoder dec(state);
     restored.restore(dec);
 
@@ -164,13 +164,11 @@ TEST_F(FaultMapSnapshot, RoundTripsFullWearState)
 
 TEST_F(FaultMapSnapshot, RejectsGeometryMismatchWithoutMutating)
 {
-    const fault::EnduranceModel model = endurance(8);
-    fault::FaultMap map(model, fault::DisableGranularity::Byte);
+    fault::FaultMap map(geometry(8), fault::DisableGranularity::Byte);
     map.killByte(0, 0);
     const auto state = stateOf(map);
 
-    const fault::EnduranceModel other_model = endurance(4);
-    fault::FaultMap other(other_model, fault::DisableGranularity::Byte);
+    fault::FaultMap other(geometry(4), fault::DisableGranularity::Byte);
     const auto before = stateOf(other);
     serial::Decoder dec(state);
     EXPECT_THROW(other.restore(dec), IoError);

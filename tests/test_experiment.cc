@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/numfmt.hh"
 #include "sim/experiment.hh"
 
 namespace
@@ -75,6 +76,63 @@ TEST(ExperimentForecast, SharedEnduranceFabricAcrossPolicies)
     for (std::uint32_t f = 0; f < 8; ++f)
         for (unsigned byte = 0; byte < 64; ++byte)
             EXPECT_DOUBLE_EQ(a.limit(f, byte), b.limit(f, byte));
+}
+
+/** FNV-1a over "name=value\n" lines: pins every counter at once. */
+std::uint64_t
+counterDigest(const PhaseSummary &summary)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto &[name, value] : summary.counters) {
+        for (const char c : name + "=" + formatU64(value) + "\n") {
+            h ^= static_cast<unsigned char>(c);
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+TEST(ExperimentPhase, PinnedAggregateAndCounters)
+{
+    // Recorded before fault maps stopped sampling an endurance fabric:
+    // replay-only phases must not depend on the limits they never read.
+    struct Pin
+    {
+        PolicyKind policy;
+        double capacity;
+        std::uint64_t demandHits, demandAccesses, nvmBytesWritten;
+        double meanIpc, hitRate, measuredSeconds;
+        std::uint64_t counters;
+    };
+    const Pin pins[] = {
+        { PolicyKind::Bh, 1.0, 21561, 36177, 1016384,
+          0.55654488299640836, 0.59598640019902149,
+          0.00015209514285714285, 6292925075075169362ULL },
+        { PolicyKind::Bh, 0.75, 17982, 36177, 1027968,
+          0.51228907931998158, 0.49705614064184428,
+          0.00016605599999999998, 16661478081618540882ULL },
+        { PolicyKind::CpSd, 1.0, 19873, 36177, 330297,
+          0.53391126742397255, 0.54932692041905073,
+          0.00015703199999999998, 7574167530592955022ULL },
+        { PolicyKind::CpSd, 0.75, 17871, 36177, 192780,
+          0.50663453871935626, 0.49398789286010447,
+          0.00016478142857142858, 18413882033631981398ULL },
+    };
+    const auto &cfg = experiment().config();
+    for (const Pin &pin : pins) {
+        const PhaseSummary s = experiment().runPhase(
+            cfg.llcConfig(pin.policy), "pin", pin.capacity);
+        SCOPED_TRACE(testing::Message()
+                     << static_cast<int>(pin.policy) << " @ "
+                     << pin.capacity);
+        EXPECT_EQ(s.aggregate.demandHits, pin.demandHits);
+        EXPECT_EQ(s.aggregate.demandAccesses, pin.demandAccesses);
+        EXPECT_EQ(s.aggregate.nvmBytesWritten, pin.nvmBytesWritten);
+        EXPECT_DOUBLE_EQ(s.aggregate.meanIpc, pin.meanIpc);
+        EXPECT_DOUBLE_EQ(s.aggregate.hitRate, pin.hitRate);
+        EXPECT_DOUBLE_EQ(s.aggregate.measuredSeconds, pin.measuredSeconds);
+        EXPECT_EQ(counterDigest(s), pin.counters);
+    }
 }
 
 TEST(ExperimentForecast, FullScaleFactorArithmetic)

@@ -82,14 +82,10 @@ TEST_F(TraceFile, LoadedTraceReplaysIdentically)
     hybrid::HybridLlcConfig config;
     config.numSets = 32;
     config.policy = hybrid::PolicyKind::CaRwr;
-    const fault::NvmGeometry geom{ config.numSets, config.nvmWays, 64 };
-    const fault::EnduranceModel endurance(
-        geom, { 1e12, 0.0 }, Xoshiro256StarStar(1));
-
-    fault::FaultMap map_a(endurance, fault::DisableGranularity::Byte);
-    fault::FaultMap map_b(endurance, fault::DisableGranularity::Byte);
-    hybrid::HybridLlc llc_a(config, &map_a);
-    hybrid::HybridLlc llc_b(config, &map_b);
+    const auto map_a = hybrid::makeFaultMap(config);
+    const auto map_b = hybrid::makeFaultMap(config);
+    hybrid::HybridLlc llc_a(config, map_a.get());
+    hybrid::HybridLlc llc_b(config, map_b.get());
 
     const replay::TraceReplayer replayer(0.2);
     const auto ra = replayer.replay(original, llc_a);
@@ -149,7 +145,7 @@ TEST(WearDistribution, FrontLoadedKillsLeadingBytesFirst)
     const fault::NvmGeometry geom{ 2, 2, 64 };
     const fault::EnduranceModel endurance(
         geom, { 100.0, 0.0 }, Xoshiro256StarStar(1));
-    fault::FaultMap map(endurance, fault::DisableGranularity::Byte,
+    fault::FaultMap map(geom, fault::DisableGranularity::Byte,
                         fault::WearDistribution::FrontLoaded);
     EXPECT_EQ(map.distribution(),
               fault::WearDistribution::FrontLoaded);
@@ -158,7 +154,7 @@ TEST(WearDistribution, FrontLoadedKillsLeadingBytesFirst)
     // bytes 16.. take none.
     for (int i = 0; i < 200; ++i)
         map.recordWrite(0, 16);
-    map.age(1.0);
+    map.age(endurance, 1.0);
     EXPECT_EQ(map.liveBytes(0), 64u - 16u);
     EXPECT_FALSE(map.liveMask(0) & 1u);
     EXPECT_TRUE(map.liveMask(0) & (1ull << 20));
@@ -170,17 +166,17 @@ TEST(WearDistribution, FrontLoadedAdvancesToSurvivors)
     const fault::NvmGeometry geom{ 1, 1, 64 };
     const fault::EnduranceModel endurance(
         geom, { 100.0, 0.0 }, Xoshiro256StarStar(1));
-    fault::FaultMap map(endurance, fault::DisableGranularity::Byte,
+    fault::FaultMap map(geom, fault::DisableGranularity::Byte,
                         fault::WearDistribution::FrontLoaded);
     // Two rounds: the second round's writes land on the next live
     // bytes after the first 8 die.
     for (int i = 0; i < 101; ++i)
         map.recordWrite(0, 8);
-    map.age(1.0);
+    map.age(endurance, 1.0);
     EXPECT_EQ(map.liveBytes(0), 56u);
     for (int i = 0; i < 101; ++i)
         map.recordWrite(0, 8);
-    map.age(1.0);
+    map.age(endurance, 1.0);
     EXPECT_EQ(map.liveBytes(0), 48u);
 }
 
@@ -190,9 +186,9 @@ TEST(WearDistribution, LeveledOutlivesFrontLoaded)
     const fault::NvmGeometry geom{ 4, 4, 64 };
     const fault::EnduranceModel endurance(
         geom, { 1000.0, 0.0 }, Xoshiro256StarStar(2));
-    fault::FaultMap leveled(endurance, fault::DisableGranularity::Byte,
+    fault::FaultMap leveled(geom, fault::DisableGranularity::Byte,
                             fault::WearDistribution::Leveled);
-    fault::FaultMap front(endurance, fault::DisableGranularity::Byte,
+    fault::FaultMap front(geom, fault::DisableGranularity::Byte,
                           fault::WearDistribution::FrontLoaded);
     for (std::uint32_t f = 0; f < geom.numFrames(); ++f) {
         for (int i = 0; i < 1200; ++i) {
@@ -200,8 +196,8 @@ TEST(WearDistribution, LeveledOutlivesFrontLoaded)
             front.recordWrite(f, 32);
         }
     }
-    leveled.age(1.0);
-    front.age(1.0);
+    leveled.age(endurance, 1.0);
+    front.age(endurance, 1.0);
     // Leveled: 1200*32/64 = 600 writes/byte < 1000 limit: all alive.
     EXPECT_EQ(leveled.effectiveCapacity(), 1.0);
     // Front-loaded: the first 32 bytes of each frame took 1200 writes.

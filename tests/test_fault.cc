@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.hh"
 #include "fault/endurance.hh"
 #include "fault/fault_map.hh"
 #include "fault/wear_level.hh"
+#include "sim/experiment.hh"
 
 namespace
 {
@@ -77,27 +79,22 @@ TEST(Endurance, SameSeedSameFabric)
 
 TEST(FaultMap, StartsFullyLive)
 {
-    const EnduranceModel m = makeModel();
-    FaultMap map(m, DisableGranularity::Byte);
+    FaultMap map(smallGeometry(), DisableGranularity::Byte);
     EXPECT_DOUBLE_EQ(map.effectiveCapacity(), 1.0);
     EXPECT_EQ(map.totalLiveBytes(), 512u);
     EXPECT_EQ(map.deadFrames(), 0u);
     for (std::uint32_t f = 0; f < 8; ++f) {
         EXPECT_EQ(map.liveBytes(f), 64u);
         EXPECT_EQ(map.liveMask(f), ~std::uint64_t{0});
-        EXPECT_TRUE(map.fits(f, 64));
     }
 }
 
 TEST(FaultMap, KillByteUpdatesCapacity)
 {
-    const EnduranceModel m = makeModel();
-    FaultMap map(m, DisableGranularity::Byte);
+    FaultMap map(smallGeometry(), DisableGranularity::Byte);
     map.killByte(2, 5);
     EXPECT_EQ(map.liveBytes(2), 63u);
     EXPECT_FALSE(map.liveMask(2) & (1ull << 5));
-    EXPECT_TRUE(map.fits(2, 63));
-    EXPECT_FALSE(map.fits(2, 64));
     // Killing the same byte twice is idempotent.
     map.killByte(2, 5);
     EXPECT_EQ(map.liveBytes(2), 63u);
@@ -106,31 +103,60 @@ TEST(FaultMap, KillByteUpdatesCapacity)
 
 TEST(FaultMap, FrameGranularityRetiresWholeFrame)
 {
-    const EnduranceModel m = makeModel();
-    FaultMap map(m, DisableGranularity::Frame);
+    FaultMap map(smallGeometry(), DisableGranularity::Frame);
     map.killByte(3, 17);
     EXPECT_EQ(map.liveBytes(3), 0u);
     EXPECT_EQ(map.deadFrames(), 1u);
-    EXPECT_FALSE(map.fits(3, 1));
     EXPECT_DOUBLE_EQ(map.effectiveCapacity(), 7.0 / 8.0);
+}
+
+TEST(FaultMap, GeometryOnlyMapSupportsEveryReplaySideOperation)
+{
+    // Replay-only users never age, so the map needs no limits for
+    // write recording, fault injection, degradation or checkpointing.
+    FaultMap map(smallGeometry(), DisableGranularity::Byte);
+    map.recordWrite(1, 40);
+    EXPECT_DOUBLE_EQ(map.pendingWrites(1), 40.0);
+    map.killByte(0, 3);
+    sim::degradeUniform(map, 0.75, 5);
+    EXPECT_LE(map.effectiveCapacity(), 0.75);
+    EXPECT_FALSE(map.liveMask(0) & (1ull << 3));
+
+    serial::Encoder enc;
+    map.snapshot(enc);
+    FaultMap restored(smallGeometry(), DisableGranularity::Byte);
+    serial::Decoder dec(enc.bytes());
+    restored.restore(dec);
+    EXPECT_EQ(restored.totalLiveBytes(), map.totalLiveBytes());
+    EXPECT_DOUBLE_EQ(restored.pendingWrites(1), 40.0);
+    for (std::uint32_t f = 0; f < 8; ++f)
+        EXPECT_EQ(restored.liveMask(f), map.liveMask(f)) << f;
+}
+
+TEST(FaultMapDeathTest, AgingAgainstLimitsOfAnotherGeometryDies)
+{
+    FaultMap map(smallGeometry(), DisableGranularity::Byte);
+    const EnduranceModel other({ 8, 2, 64 }, { 1000.0, 0.0 },
+                               Xoshiro256StarStar(1));
+    EXPECT_DEATH(map.age(other, 1.0), "do not cover");
 }
 
 TEST(FaultMap, AgingSpreadsWearOverLiveBytes)
 {
     // Limit 1000 writes per byte, no variability.
     const EnduranceModel m = makeModel(1000.0, 0.0);
-    FaultMap map(m, DisableGranularity::Byte);
+    FaultMap map(smallGeometry(), DisableGranularity::Byte);
 
     // 64 * 999 bytes deposited in frame 0: one write short per byte.
     map.recordWrite(0, 64);
     EXPECT_GT(map.pendingWrites(0), 0.0);
-    EXPECT_EQ(map.age(999.0), 0u);
+    EXPECT_EQ(map.age(m, 999.0), 0u);
     EXPECT_DOUBLE_EQ(map.writesSoFar(0, 0), 999.0);
     EXPECT_EQ(map.liveBytes(0), 64u);
 
     // One more spread write crosses the limit everywhere.
     map.recordWrite(0, 64);
-    EXPECT_EQ(map.age(2.0), 64u);
+    EXPECT_EQ(map.age(m, 2.0), 64u);
     EXPECT_EQ(map.liveBytes(0), 0u);
     EXPECT_EQ(map.deadFrames(), 1u);
 }
@@ -138,9 +164,9 @@ TEST(FaultMap, AgingSpreadsWearOverLiveBytes)
 TEST(FaultMap, AgingOnlyWearsWrittenFrames)
 {
     const EnduranceModel m = makeModel(10.0, 0.0);
-    FaultMap map(m, DisableGranularity::Byte);
+    FaultMap map(smallGeometry(), DisableGranularity::Byte);
     map.recordWrite(1, 64 * 100); // far beyond the limit
-    map.age(1.0);
+    map.age(m, 1.0);
     EXPECT_EQ(map.liveBytes(1), 0u);
     for (std::uint32_t f = 0; f < 8; ++f) {
         if (f != 1) {
@@ -152,19 +178,19 @@ TEST(FaultMap, AgingOnlyWearsWrittenFrames)
 TEST(FaultMap, DiscardPendingDropsWear)
 {
     const EnduranceModel m = makeModel(10.0, 0.0);
-    FaultMap map(m, DisableGranularity::Byte);
+    FaultMap map(smallGeometry(), DisableGranularity::Byte);
     map.recordWrite(0, 64 * 100);
     map.discardPending();
-    EXPECT_EQ(map.age(1.0), 0u);
+    EXPECT_EQ(map.age(m, 1.0), 0u);
     EXPECT_EQ(map.liveBytes(0), 64u);
 }
 
 TEST(FaultMap, FrameGranularityAgingKillsFrames)
 {
     const EnduranceModel m = makeModel(100.0, 0.0);
-    FaultMap map(m, DisableGranularity::Frame);
+    FaultMap map(smallGeometry(), DisableGranularity::Frame);
     map.recordWrite(4, 64);
-    EXPECT_EQ(map.age(101.0), 64u); // whole frame reported disabled
+    EXPECT_EQ(map.age(m, 101.0), 64u); // whole frame reported disabled
     EXPECT_EQ(map.liveBytes(4), 0u);
     EXPECT_EQ(map.deadFrames(), 1u);
 }
@@ -172,10 +198,10 @@ TEST(FaultMap, FrameGranularityAgingKillsFrames)
 TEST(FaultMap, PartialWearAccumulatesAcrossAges)
 {
     const EnduranceModel m = makeModel(100.0, 0.0);
-    FaultMap map(m, DisableGranularity::Byte);
+    FaultMap map(smallGeometry(), DisableGranularity::Byte);
     for (int round = 0; round < 5; ++round) {
         map.recordWrite(0, 64 * 30);
-        map.age(1.0);
+        map.age(m, 1.0);
     }
     // 150 writes per byte > 100 limit: dead after round 4.
     EXPECT_EQ(map.liveBytes(0), 0u);
@@ -186,11 +212,11 @@ TEST(FaultMap, WearConcentratesAsBytesDie)
     // When half the bytes are dead, the same frame traffic wears the
     // survivors twice as fast.
     const EnduranceModel m = makeModel(1000.0, 0.0);
-    FaultMap map(m, DisableGranularity::Byte);
+    FaultMap map(smallGeometry(), DisableGranularity::Byte);
     for (unsigned b = 0; b < 32; ++b)
         map.killByte(0, b);
     map.recordWrite(0, 64);
-    map.age(1.0);
+    map.age(m, 1.0);
     EXPECT_DOUBLE_EQ(map.writesSoFar(0, 32), 2.0);
     EXPECT_DOUBLE_EQ(map.writesSoFar(0, 0), 0.0); // dead: no wear applied
 }

@@ -29,7 +29,7 @@ TEST(AgingStep, NoTrafficGivesMaxStep)
 {
     const fault::EnduranceModel endurance(
         geom(), { 1e10, 0.2 }, Xoshiro256StarStar(1));
-    fault::FaultMap map(endurance, fault::DisableGranularity::Byte);
+    fault::FaultMap map(geom(), fault::DisableGranularity::Byte);
     const AgingStepConfig config;
     EXPECT_DOUBLE_EQ(
         chooseAgingStep(map, endurance, 1.0, config), config.maxStep);
@@ -39,7 +39,7 @@ TEST(AgingStep, HeavyTrafficGivesShortStep)
 {
     const fault::EnduranceModel endurance(
         geom(), { 1000.0, 0.2 }, Xoshiro256StarStar(1));
-    fault::FaultMap map(endurance, fault::DisableGranularity::Byte);
+    fault::FaultMap map(geom(), fault::DisableGranularity::Byte);
     // Enormous write rate on every frame.
     for (std::uint32_t f = 0; f < geom().numFrames(); ++f)
         map.recordWrite(f, 64 * 100);
@@ -57,8 +57,8 @@ TEST(AgingStep, StepScalesInverselyWithRate)
     AgingStepConfig config;
     config.minStep = 1e-6;
 
-    fault::FaultMap slow(endurance, fault::DisableGranularity::Byte);
-    fault::FaultMap fast(endurance, fault::DisableGranularity::Byte);
+    fault::FaultMap slow(geom(), fault::DisableGranularity::Byte);
+    fault::FaultMap fast(geom(), fault::DisableGranularity::Byte);
     for (std::uint32_t f = 0; f < geom().numFrames(); ++f) {
         slow.recordWrite(f, 64);
         fast.recordWrite(f, 64 * 10);

@@ -10,6 +10,7 @@
 
 #include <memory>
 
+#include "check/rig.hh"
 #include "compression/encoding.hh"
 #include "hybrid/hybrid_llc.hh"
 
@@ -18,29 +19,19 @@ namespace
 
 using namespace hllc;
 using namespace hllc::hybrid;
-using fault::DisableGranularity;
-using fault::EnduranceModel;
-using fault::FaultMap;
-using fault::NvmGeometry;
 
 constexpr std::uint32_t kSets = 32;
 
-/** Bundle of LLC + its fault fabric for one test. */
-struct Rig
+/** LLC + its fault map for one test, dereferencing to the LLC. */
+struct Rig : check::FastRig
 {
-    std::unique_ptr<EnduranceModel> endurance;
-    std::unique_ptr<FaultMap> map;
-    std::unique_ptr<HybridLlc> llc;
-
     HybridLlc *operator->() { return llc.get(); }
-    HybridLlc &operator*() { return *llc; }
 };
 
 Rig
 makeRig(PolicyKind policy, std::uint32_t sram_ways = 2,
         std::uint32_t nvm_ways = 2, PolicyParams params = {})
 {
-    Rig rig;
     HybridLlcConfig config;
     config.numSets = kSets;
     config.sramWays = sram_ways;
@@ -48,18 +39,7 @@ makeRig(PolicyKind policy, std::uint32_t sram_ways = 2,
     config.policy = policy;
     config.params = params;
     config.epochCycles = 1u << 20;
-
-    if (nvm_ways > 0) {
-        const NvmGeometry geom{ kSets, nvm_ways, 64 };
-        rig.endurance = std::make_unique<EnduranceModel>(
-            geom, fault::EnduranceParams{ 1e12, 0.0 },
-            Xoshiro256StarStar(1));
-        rig.map = std::make_unique<FaultMap>(
-            *rig.endurance,
-            InsertionPolicy(policy, params).granularity());
-    }
-    rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
-    return rig;
+    return { check::makeFastRig(config) };
 }
 
 /** Block number landing in set 0 with a unique tag. */

@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "check/invariants.hh"
+#include "check/rig.hh"
 #include "hybrid/hybrid_llc.hh"
 
 namespace
@@ -23,17 +24,11 @@ using namespace hllc::hybrid;
 
 constexpr std::uint32_t kSets = 32;
 
-struct Rig
-{
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    std::unique_ptr<HybridLlc> llc;
-};
+using Rig = check::FastRig;
 
 Rig
 makeRig(PolicyKind policy, bool degraded)
 {
-    Rig rig;
     HybridLlcConfig config;
     config.numSets = kSets;
     config.sramWays = 4;
@@ -44,26 +39,18 @@ makeRig(PolicyKind policy, bool degraded)
     if (policy == PolicyKind::SramOnly) {
         config.sramWays = 16;
         config.nvmWays = 0;
-    } else {
-        const fault::NvmGeometry geom{ kSets, config.nvmWays, 64 };
-        rig.endurance = std::make_unique<fault::EnduranceModel>(
-            geom, fault::EnduranceParams{ 1e12, 0.0 },
-            Xoshiro256StarStar(7));
-        rig.map = std::make_unique<fault::FaultMap>(
-            *rig.endurance,
-            InsertionPolicy(policy).granularity());
-        if (degraded) {
-            // Random byte faults down to ~70% capacity.
-            Xoshiro256StarStar rng(11);
-            while (rig.map->effectiveCapacity() > 0.7) {
-                rig.map->killByte(
-                    static_cast<std::uint32_t>(
-                        rng.nextBounded(geom.numFrames())),
-                    static_cast<unsigned>(rng.nextBounded(64)));
-            }
+    }
+    Rig rig = check::makeFastRig(config);
+    if (rig.map != nullptr && degraded) {
+        // Random byte faults down to ~70% capacity.
+        Xoshiro256StarStar rng(11);
+        while (rig.map->effectiveCapacity() > 0.7) {
+            rig.map->killByte(
+                static_cast<std::uint32_t>(
+                    rng.nextBounded(rig.map->geometry().numFrames())),
+                static_cast<unsigned>(rng.nextBounded(64)));
         }
     }
-    rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
     return rig;
 }
 

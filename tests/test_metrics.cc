@@ -16,6 +16,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "check/rig.hh"
 #include "common/error.hh"
 #include "common/metrics.hh"
 #include "common/numfmt.hh"
@@ -311,17 +312,9 @@ smallTrace()
         hierarchy::PrivateCacheConfig{ 1024, 4, 4096, 16 }, 4000, 21);
 }
 
-struct LlcRig
-{
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    std::unique_ptr<hybrid::HybridLlc> llc;
-};
-
-LlcRig
+check::FastRig
 makeLlc()
 {
-    LlcRig rig;
     hybrid::HybridLlcConfig config;
     config.numSets = 32;
     config.sramWays = 4;
@@ -329,21 +322,13 @@ makeLlc()
     config.policy = hybrid::PolicyKind::CpSd;
     config.epochCycles = 10'000;
 
-    const fault::NvmGeometry geom{ config.numSets, config.nvmWays, 64 };
-    rig.endurance = std::make_unique<fault::EnduranceModel>(
-        geom, fault::EnduranceParams{ 1e12, 0.0 },
-        Xoshiro256StarStar(5));
-    rig.map = std::make_unique<fault::FaultMap>(
-        *rig.endurance,
-        hybrid::InsertionPolicy(config.policy).granularity());
-    rig.llc = std::make_unique<hybrid::HybridLlc>(config, rig.map.get());
-    return rig;
+    return check::makeFastRig(config);
 }
 
 TEST(Metrics, ReplayIntervalsAreMonotoneAndEndOnTotals)
 {
     const replay::LlcTrace trace = smallTrace();
-    LlcRig rig = makeLlc();
+    check::FastRig rig = makeLlc();
     hybrid::HybridLlc &llc = *rig.llc;
 
     constexpr std::size_t intervals = 8;
@@ -379,7 +364,7 @@ TEST(Metrics, ReplayIntervalSeriesRecoverTotals)
     // deltas of the cumulative snapshots; they must sum back to the
     // replay totals and every per-interval hit rate must be a rate.
     const replay::LlcTrace trace = smallTrace();
-    LlcRig rig = makeLlc();
+    check::FastRig rig = makeLlc();
 
     MetricRegistry reg;
     std::uint64_t prev_acc = 0, prev_hits = 0, prev_bytes = 0;
@@ -428,8 +413,8 @@ TEST(Metrics, ReplayIntervalSeriesRecoverTotals)
 TEST(Metrics, ReplayWithoutCallbackSkipsSampling)
 {
     const replay::LlcTrace trace = smallTrace();
-    LlcRig a = makeLlc();
-    LlcRig b = makeLlc();
+    check::FastRig a = makeLlc();
+    check::FastRig b = makeLlc();
 
     // Sampling must not perturb the replay itself.
     std::size_t fired = 0;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/rig.hh"
 #include "hierarchy/hierarchy.hh"
 #include "replay/replayer.hh"
 #include "workload/mixes.hh"
@@ -27,17 +28,9 @@ smallTrace(std::size_t mix_index = 0)
         hierarchy::PrivateCacheConfig{ 1024, 4, 4096, 16 }, 4000, 21);
 }
 
-struct LlcRig
-{
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    std::unique_ptr<HybridLlc> llc;
-};
-
-LlcRig
+check::FastRig
 makeLlc(PolicyKind policy)
 {
-    LlcRig rig;
     HybridLlcConfig config;
     config.numSets = 32;
     config.sramWays = 4;
@@ -45,15 +38,7 @@ makeLlc(PolicyKind policy)
     config.policy = policy;
     config.epochCycles = 10'000;
 
-    const fault::NvmGeometry geom{ config.numSets, config.nvmWays, 64 };
-    rig.endurance = std::make_unique<fault::EnduranceModel>(
-        geom, fault::EnduranceParams{ 1e12, 0.0 },
-        Xoshiro256StarStar(5));
-    rig.map = std::make_unique<fault::FaultMap>(
-        *rig.endurance,
-        hybrid::InsertionPolicy(policy).granularity());
-    rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
-    return rig;
+    return check::makeFastRig(config);
 }
 
 TEST(Replay, DeterministicResults)
@@ -61,8 +46,8 @@ TEST(Replay, DeterministicResults)
     const LlcTrace trace = smallTrace();
     TraceReplayer replayer(0.2);
 
-    LlcRig a = makeLlc(PolicyKind::CpSd);
-    LlcRig b = makeLlc(PolicyKind::CpSd);
+    check::FastRig a = makeLlc(PolicyKind::CpSd);
+    check::FastRig b = makeLlc(PolicyKind::CpSd);
     const ReplayResult ra = replayer.replay(trace, *a.llc);
     const ReplayResult rb = replayer.replay(trace, *b.llc);
     EXPECT_EQ(ra.demandHits, rb.demandHits);
@@ -76,7 +61,7 @@ TEST(Replay, DeterministicResults)
 TEST(Replay, OutcomesPartitionDemands)
 {
     const LlcTrace trace = smallTrace();
-    LlcRig rig = makeLlc(PolicyKind::CaRwr);
+    check::FastRig rig = makeLlc(PolicyKind::CaRwr);
     const ReplayResult res = TraceReplayer(0.2).replay(trace, *rig.llc);
 
     std::uint64_t outcomes = 0;
@@ -91,7 +76,7 @@ TEST(Replay, OutcomesPartitionDemands)
 TEST(Replay, WarmupExcludedFromStats)
 {
     const LlcTrace trace = smallTrace();
-    LlcRig rig = makeLlc(PolicyKind::Bh);
+    check::FastRig rig = makeLlc(PolicyKind::Bh);
     const ReplayResult with_warmup =
         TraceReplayer(0.5).replay(trace, *rig.llc);
     const ReplayResult without =
@@ -109,8 +94,8 @@ TEST(Replay, WarmedCacheHitsMore)
     // window must show an equal-or-better hit rate (cold misses fall in
     // the warm-up).
     const LlcTrace trace = smallTrace();
-    LlcRig a = makeLlc(PolicyKind::Bh);
-    LlcRig b = makeLlc(PolicyKind::Bh);
+    check::FastRig a = makeLlc(PolicyKind::Bh);
+    check::FastRig b = makeLlc(PolicyKind::Bh);
     const double cold = TraceReplayer(0.0).replay(trace, *a.llc).hitRate;
     const double warm = TraceReplayer(0.4).replay(trace, *b.llc).hitRate;
     EXPECT_GE(warm, cold - 0.02);
@@ -119,7 +104,7 @@ TEST(Replay, WarmedCacheHitsMore)
 TEST(Replay, WearRecordedInFaultMap)
 {
     const LlcTrace trace = smallTrace();
-    LlcRig rig = makeLlc(PolicyKind::BhCp);
+    check::FastRig rig = makeLlc(PolicyKind::BhCp);
     TraceReplayer(0.2).replay(trace, *rig.llc);
     double pending = 0.0;
     for (std::uint32_t f = 0; f < rig.map->geometry().numFrames(); ++f)
@@ -130,8 +115,8 @@ TEST(Replay, WearRecordedInFaultMap)
 TEST(Replay, TraceIsPolicyIndependentButOutcomesDiffer)
 {
     const LlcTrace trace = smallTrace();
-    LlcRig bh = makeLlc(PolicyKind::Bh);
-    LlcRig lh = makeLlc(PolicyKind::LHybrid);
+    check::FastRig bh = makeLlc(PolicyKind::Bh);
+    check::FastRig lh = makeLlc(PolicyKind::LHybrid);
     TraceReplayer replayer(0.2);
     const ReplayResult rb = replayer.replay(trace, *bh.llc);
     const ReplayResult rl = replayer.replay(trace, *lh.llc);
@@ -145,7 +130,7 @@ TEST(Replay, TraceIsPolicyIndependentButOutcomesDiffer)
 TEST(Replay, ResetsLlcBetweenCalls)
 {
     const LlcTrace trace = smallTrace();
-    LlcRig rig = makeLlc(PolicyKind::Bh);
+    check::FastRig rig = makeLlc(PolicyKind::Bh);
     TraceReplayer replayer(0.2);
     const ReplayResult r1 = replayer.replay(trace, *rig.llc);
     const ReplayResult r2 = replayer.replay(trace, *rig.llc);

@@ -88,14 +88,12 @@ TEST(System, SramOnlyNeedsNoFaultMap)
 TEST(DegradeUniform, ReachesTargetCapacity)
 {
     const fault::NvmGeometry geom{ 32, 12, 64 };
-    const fault::EnduranceModel endurance(
-        geom, { 1e10, 0.2 }, Xoshiro256StarStar(1));
-    fault::FaultMap map(endurance, fault::DisableGranularity::Byte);
+    fault::FaultMap map(geom, fault::DisableGranularity::Byte);
     degradeUniform(map, 0.8, 99);
     EXPECT_LE(map.effectiveCapacity(), 0.8);
     EXPECT_GT(map.effectiveCapacity(), 0.78);
     // Deterministic.
-    fault::FaultMap map2(endurance, fault::DisableGranularity::Byte);
+    fault::FaultMap map2(geom, fault::DisableGranularity::Byte);
     degradeUniform(map2, 0.8, 99);
     EXPECT_EQ(map.totalLiveBytes(), map2.totalLiveBytes());
 }

@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "check/rig.hh"
 #include "hybrid/hybrid_llc.hh"
 
 namespace
@@ -18,12 +19,8 @@ using namespace hllc::hybrid;
 
 constexpr std::uint32_t kSets = 32;
 
-struct Rig
+struct Rig : check::FastRig
 {
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    std::unique_ptr<HybridLlc> llc;
-
     HybridLlc *operator->() { return llc.get(); }
 };
 
@@ -31,7 +28,6 @@ Rig
 makeRig(ReplacementKind replacement, std::uint32_t sram_ways = 4,
         std::uint32_t nvm_ways = 0)
 {
-    Rig rig;
     HybridLlcConfig config;
     config.numSets = kSets;
     config.sramWays = sram_ways;
@@ -39,17 +35,7 @@ makeRig(ReplacementKind replacement, std::uint32_t sram_ways = 4,
     config.policy =
         nvm_ways == 0 ? PolicyKind::SramOnly : PolicyKind::Ca;
     config.replacement = replacement;
-
-    if (nvm_ways > 0) {
-        const fault::NvmGeometry geom{ kSets, nvm_ways, 64 };
-        rig.endurance = std::make_unique<fault::EnduranceModel>(
-            geom, fault::EnduranceParams{ 1e12, 0.0 },
-            Xoshiro256StarStar(1));
-        rig.map = std::make_unique<fault::FaultMap>(
-            *rig.endurance, fault::DisableGranularity::Byte);
-    }
-    rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
-    return rig;
+    return { check::makeFastRig(config) };
 }
 
 Addr

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
+#include <iterator>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -134,6 +138,40 @@ TEST(ParallelFor, RethrowsLowestIndexException)
             EXPECT_STREQ(e.what(), "1");
         }
     }
+}
+
+std::ptrdiff_t
+liveThreads()
+{
+    using std::filesystem::directory_iterator;
+    return std::distance(directory_iterator("/proc/self/task"),
+                         directory_iterator{});
+}
+
+TEST(ParallelFor, WorkerCountIsCappedByIterations)
+{
+    // A 64-job request over two iterations must not start 64 threads.
+    const std::ptrdiff_t baseline = liveThreads();
+    std::vector<std::ptrdiff_t> seen(2, 0);
+    parallelFor(64, seen.size(),
+                [&](std::size_t i) { seen[i] = liveThreads(); });
+    for (const std::ptrdiff_t threads : seen)
+        EXPECT_LE(threads, baseline + 2);
+}
+
+TEST(ThreadPool, MalformedJobsEnvFallsBackToHardware)
+{
+    const char *inherited = std::getenv("HLLC_JOBS");
+    const std::string saved = inherited != nullptr ? inherited : "";
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    ASSERT_EQ(setenv("HLLC_JOBS", "3", 1), 0);
+    EXPECT_EQ(defaultJobs(), 3u);
+    for (const char *junk : { "8abc", "0", "-2", "" }) {
+        ASSERT_EQ(setenv("HLLC_JOBS", junk, 1), 0);
+        EXPECT_EQ(defaultJobs(), hw) << "HLLC_JOBS='" << junk << "'";
+    }
+    inherited != nullptr ? setenv("HLLC_JOBS", saved.c_str(), 1)
+                         : unsetenv("HLLC_JOBS");
 }
 
 TEST(Grid, ResolveAndParseJobs)

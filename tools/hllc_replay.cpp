@@ -158,24 +158,8 @@ main(int argc, char **argv)
         policies.size(),
         [&](std::size_t i) {
             const PolicyKind policy = policies[i];
-            const auto llc_config = policy == PolicyKind::SramOnly
-                ? config.llcConfigSramBound(config.sramWays +
-                                            config.nvmWays)
-                : config.llcConfig(policy, params);
-
-            std::unique_ptr<fault::EnduranceModel> endurance;
-            std::unique_ptr<fault::FaultMap> map;
-            if (llc_config.nvmWays > 0) {
-                // Same fabric for every policy cell (fair comparison):
-                // keyed on the master seed only.
-                endurance = std::make_unique<fault::EnduranceModel>(
-                    config.nvmGeometry(), config.endurance,
-                    Xoshiro256StarStar(config.seed));
-                map = std::make_unique<fault::FaultMap>(
-                    *endurance,
-                    hybrid::InsertionPolicy(llc_config.policy)
-                        .granularity());
-            }
+            const auto llc_config = config.llcConfig(policy, params);
+            const auto map = hybrid::makeFaultMap(llc_config);
             hybrid::HybridLlc llc(llc_config, map.get());
 
             ReplayResult result;
