@@ -9,13 +9,16 @@
  *
  * The victim scans are templates over the eligibility predicate so the
  * per-access replacement path never goes through a std::function (the
- * predicate inlines into the scan loop); lruWay()/mruWay() sit on the
- * replay hot path.
+ * predicate inlines into the scan loop), and each scan is one pass of
+ * selects with no data-dependent branch: ways are few, and a mispredicted
+ * compare costs more than visiting every way.
  */
 
 #ifndef HLLC_CACHE_LRU_HH
 #define HLLC_CACHE_LRU_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -29,6 +32,7 @@ class LruState
   public:
     LruState(std::uint32_t num_sets, std::uint32_t num_ways)
         : numSets_(num_sets), numWays_(num_ways),
+          wayBits_(static_cast<unsigned>(std::bit_width(num_ways))),
           stamps_(static_cast<std::size_t>(num_sets) * num_ways, 0)
     {
         HLLC_ASSERT(num_sets > 0 && num_ways > 0);
@@ -51,55 +55,81 @@ class LruState
     }
 
     /**
+     * Recency stamps of @p set's ways, indexed by way (the row stamp()
+     * reads one entry of). Victim scans that rank ways by their own
+     * rule, such as the LLC's Fit-LRU, read it directly.
+     */
+    const std::uint64_t *
+    stampRow(std::uint32_t set) const
+    {
+        HLLC_ASSERT(set < numSets_);
+        return stamps_.data() + static_cast<std::size_t>(set) * numWays_;
+    }
+
+    /** Smallest key of a scan in which no way was eligible. */
+    static constexpr std::uint64_t noWay = ~std::uint64_t{0};
+
+    /**
+     * Key of @p way in a branch-free victim scan: @p rank above the way
+     * index, or noWay when the way is not @p eligible. The smallest key
+     * of a scan is the lowest rank, the lowest way among equal ranks.
+     * Ranks are at most rankLimit(): stamps stay far below it, since
+     * the clock would need 2^59 touches to reach it at 16 ways.
+     */
+    std::uint64_t
+    scanKey(std::uint64_t rank, std::uint32_t way, bool eligible) const
+    {
+        return (rank << wayBits_ | way) |
+               (std::uint64_t{0} - static_cast<std::uint64_t>(!eligible));
+    }
+
+    /** Largest rank scanKey() can pack. */
+    std::uint64_t rankLimit() const { return noWay >> wayBits_; }
+
+    /** The way the smallest key of a scan names; -1 for noWay. */
+    int
+    scanWay(std::uint64_t key) const
+    {
+        const std::uint64_t way_mask = (std::uint64_t{1} << wayBits_) - 1;
+        return key == noWay ? -1 : static_cast<int>(key & way_mask);
+    }
+
+    /**
      * Least recently used way of @p set among ways in [begin, end) that
-     * satisfy @p eligible. Returns -1 when no way is eligible.
+     * satisfy @p eligible; ties (never-touched ways share stamp 0) go to
+     * the lowest index. Returns -1 when no way is eligible.
      */
     template <typename Pred>
     int
     lruWay(std::uint32_t set, std::uint32_t begin, std::uint32_t end,
            const Pred &eligible) const
     {
-        HLLC_ASSERT(set < numSets_ && begin <= end && end <= numWays_);
-        const std::uint64_t *row =
-            stamps_.data() + static_cast<std::size_t>(set) * numWays_;
-        int best = -1;
-        std::uint64_t best_stamp = 0;
-        for (std::uint32_t w = begin; w < end; ++w) {
-            if (!eligible(w))
-                continue;
-            const std::uint64_t s = row[w];
-            if (best == -1 || s < best_stamp) {
-                best = static_cast<int>(w);
-                best_stamp = s;
-            }
-        }
-        return best;
+        HLLC_ASSERT(begin <= end && end <= numWays_);
+        const std::uint64_t *row = stampRow(set);
+        std::uint64_t best = noWay;
+        for (std::uint32_t w = begin; w < end; ++w)
+            best = std::min(best, scanKey(row[w], w, eligible(w)));
+        return scanWay(best);
     }
 
     /**
      * Most recently used way of @p set among ways in [begin, end) that
-     * satisfy @p eligible. Returns -1 when no way is eligible.
+     * satisfy @p eligible; ties go to the lowest index. Returns -1 when
+     * no way is eligible.
      */
     template <typename Pred>
     int
     mruWay(std::uint32_t set, std::uint32_t begin, std::uint32_t end,
            const Pred &eligible) const
     {
-        HLLC_ASSERT(set < numSets_ && begin <= end && end <= numWays_);
-        const std::uint64_t *row =
-            stamps_.data() + static_cast<std::size_t>(set) * numWays_;
-        int best = -1;
-        std::uint64_t best_stamp = 0;
+        HLLC_ASSERT(begin <= end && end <= numWays_);
+        const std::uint64_t *row = stampRow(set);
+        std::uint64_t best = noWay;
         for (std::uint32_t w = begin; w < end; ++w) {
-            if (!eligible(w))
-                continue;
-            const std::uint64_t s = row[w];
-            if (best == -1 || s > best_stamp) {
-                best = static_cast<int>(w);
-                best_stamp = s;
-            }
+            best = std::min(
+                best, scanKey(rankLimit() - row[w], w, eligible(w)));
         }
-        return best;
+        return scanWay(best);
     }
 
     std::uint32_t numSets() const { return numSets_; }
@@ -108,6 +138,7 @@ class LruState
   private:
     std::uint32_t numSets_;
     std::uint32_t numWays_;
+    unsigned wayBits_; //!< low key bits that hold a way index
     std::uint64_t clock_ = 0;
     std::vector<std::uint64_t> stamps_;
 };

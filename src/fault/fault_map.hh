@@ -96,6 +96,16 @@ class FaultMap
         return liveCount_[frame];
     }
 
+    /**
+     * liveBytes() of frames @p first, first + 1, ... as one contiguous
+     * row (the NVM frames of an LLC set are consecutive). The counts
+     * change in place as bytes die, so readers do not cache them.
+     */
+    const std::uint8_t *liveBytesRow(std::uint32_t first) const
+    {
+        return liveCount_.data() + first;
+    }
+
     /** Live bytes across the whole NVM part. */
     std::uint64_t totalLiveBytes() const { return totalLive_; }
 

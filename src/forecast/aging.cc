@@ -17,9 +17,24 @@ chooseAgingStep(const fault::FaultMap &map,
     HLLC_ASSERT(window_seconds > 0.0);
 
     const auto &geom = map.geometry();
-    std::vector<double> ttf;
-    ttf.reserve(4096);
 
+    // Under frame disabling a single byte death retires 64 bytes, so the
+    // same capacity resolution needs 64x fewer byte deaths.
+    double kill_fraction = config.targetKillFraction;
+    if (map.granularity() == fault::DisableGranularity::Frame)
+        kill_fraction /= static_cast<double>(geom.frameBytes);
+
+    const auto total_bytes = static_cast<double>(geom.numBytes());
+    std::size_t k = static_cast<std::size_t>(kill_fraction * total_bytes);
+    if (k < 1)
+        k = 1;
+
+    // The step is the k-th smallest time-to-failure over the live bytes
+    // of written frames. A max-heap keeps the k smallest seen so far, so
+    // its top ends as exactly that value without storing every byte's.
+    std::vector<double> smallest;
+    smallest.reserve(k);
+    std::size_t written_bytes = 0;
     for (std::uint32_t f = 0; f < geom.numFrames(); ++f) {
         const double pending = map.pendingWrites(f);
         if (pending <= 0.0)
@@ -35,35 +50,24 @@ chooseAgingStep(const fault::FaultMap &map,
                 continue;
             const double remaining =
                 endurance.limit(f, b) - map.writesSoFar(f, b);
-            ttf.push_back(remaining <= 0.0 ? 0.0 : remaining / rate);
+            const double ttf = remaining <= 0.0 ? 0.0 : remaining / rate;
+            ++written_bytes;
+            if (smallest.size() < k) {
+                smallest.push_back(ttf);
+                std::push_heap(smallest.begin(), smallest.end());
+            } else if (ttf < smallest.front()) {
+                std::pop_heap(smallest.begin(), smallest.end());
+                smallest.back() = ttf;
+                std::push_heap(smallest.begin(), smallest.end());
+            }
         }
     }
 
-    if (ttf.empty())
+    // At most k written bytes (or none): wear too light to resolve
+    // within one step.
+    if (k >= written_bytes)
         return config.maxStep;
-
-    // Under frame disabling a single byte death retires 64 bytes, so the
-    // same capacity resolution needs 64x fewer byte deaths.
-    double kill_fraction = config.targetKillFraction;
-    if (map.granularity() == fault::DisableGranularity::Frame)
-        kill_fraction /= static_cast<double>(geom.frameBytes);
-
-    const auto total_bytes = static_cast<double>(geom.numBytes());
-    std::size_t k = static_cast<std::size_t>(kill_fraction * total_bytes);
-    if (k < 1)
-        k = 1;
-
-    Seconds step;
-    if (k >= ttf.size()) {
-        step = config.maxStep;
-    } else {
-        std::nth_element(ttf.begin(),
-                         ttf.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                         ttf.end());
-        step = ttf[k - 1];
-    }
-
-    return std::clamp(step, config.minStep, config.maxStep);
+    return std::clamp(smallest.front(), config.minStep, config.maxStep);
 }
 
 } // namespace hllc::forecast

@@ -134,68 +134,81 @@ HybridLlc::HybridLlc(const HybridLlcConfig &config,
     ctr_.writebacksDirty = &stats_.counter("writebacks_dirty");
 }
 
-unsigned
-HybridLlc::frameCapacity(std::uint32_t set, std::uint32_t way) const
-{
-    if (!isNvmWay(way))
-        return blockBytes;
-    return faultMap_->liveBytes(frameOf(set, way));
-}
-
 int
 HybridLlc::findWay(std::uint32_t set, Addr block) const
 {
+    // Branch-free: a hit keys its way, a miss all ones; the minimum is
+    // the lowest matching way.
     const std::size_t base = index(set, 0);
     const Addr *tags = tags_.data() + base;
     const std::uint8_t *valid = valid_.data() + base;
+    constexpr std::uint32_t none = ~std::uint32_t{0};
+    std::uint32_t found = none;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (valid[w] && tags[w] == block)
-            return static_cast<int>(w);
+        const bool hit = (valid[w] != 0) & (tags[w] == block);
+        found = std::min(found,
+                         w | (0u - static_cast<std::uint32_t>(!hit)));
     }
-    return -1;
+    return found == none ? -1 : static_cast<int>(found);
+}
+
+int
+HybridLlc::fitLruWay(std::uint32_t set, std::uint32_t begin,
+                     std::uint32_t end, unsigned ecb) const
+{
+    // One branch-free pass. A valid way ranks by its LRU stamp and an
+    // empty one by 0 (a filled way was touched, so its stamp is at least
+    // 1); ways that do not fit are not eligible. The smallest key is the
+    // first empty way that fits, else the LRU way that fits.
+    const FitTest fit = fitTest(set, ecb);
+    const std::uint8_t *valid = valid_.data() + index(set, 0);
+    const std::uint64_t *stamps = lru_.stampRow(set);
+    const auto key = [&](std::uint32_t w, bool fits) {
+        const std::uint64_t rank =
+            stamps[w] & (std::uint64_t{0} -
+                         static_cast<std::uint64_t>(valid[w] != 0));
+        return lru_.scanKey(rank, w, fits);
+    };
+    std::uint64_t best = cache::LruState::noWay;
+    for (std::uint32_t w = begin; w < std::min(end, fit.sramWays); ++w)
+        best = std::min(best, key(w, true));
+    for (std::uint32_t w = std::max(begin, fit.sramWays); w < end; ++w)
+        best = std::min(best, key(w, fit.nvmFits(w)));
+    return lru_.scanWay(best);
 }
 
 int
 HybridLlc::victimWay(std::uint32_t set, std::uint32_t begin,
                      std::uint32_t end, unsigned ecb)
 {
-    // Empty frames with enough capacity first...
+    if (config_.replacement == ReplacementKind::Lru)
+        return fitLruWay(set, begin, end, ecb);
+
+    const auto fits = fitTest(set, ecb);
+    const std::size_t base = index(set, 0);
+    const std::uint8_t *valid = valid_.data() + base;
+    std::uint8_t *rrpv = rrpv_.data() + base;
+    bool any_fits = false;
     for (std::uint32_t w = begin; w < end; ++w) {
-        if (!valid_[index(set, w)] &&
-            frameCapacity(set, w) >= storedSize(w, ecb)) {
+        if (!valid[w] && fits(w))
             return static_cast<int>(w);
+        any_fits = any_fits || fits(w);
+    }
+    if (!any_fits)
+        return -1;
+    // SRRIP: evict the first fitting line predicted re-referenced in the
+    // distant future; age everyone until one exists.
+    for (unsigned round = 0; round <= maxRrpv; ++round) {
+        for (std::uint32_t w = begin; w < end; ++w) {
+            if (fits(w) && rrpv[w] >= maxRrpv)
+                return static_cast<int>(w);
+        }
+        for (std::uint32_t w = begin; w < end; ++w) {
+            if (valid[w] && rrpv[w] < maxRrpv)
+                ++rrpv[w];
         }
     }
-
-    const auto fits = [&](std::uint32_t w) {
-        return valid_[index(set, w)] != 0 &&
-               frameCapacity(set, w) >= storedSize(w, ecb);
-    };
-
-    if (config_.replacement == ReplacementKind::Srrip) {
-        // SRRIP: evict the first fitting line predicted re-referenced
-        // in the distant future; age everyone until one exists.
-        bool any_fits = false;
-        for (std::uint32_t w = begin; w < end; ++w)
-            any_fits = any_fits || fits(w);
-        if (!any_fits)
-            return -1;
-        for (unsigned round = 0; round <= maxRrpv; ++round) {
-            for (std::uint32_t w = begin; w < end; ++w) {
-                if (fits(w) && rrpv_[index(set, w)] >= maxRrpv)
-                    return static_cast<int>(w);
-            }
-            for (std::uint32_t w = begin; w < end; ++w) {
-                const std::size_t i = index(set, w);
-                if (valid_[i] && rrpv_[i] < maxRrpv)
-                    ++rrpv_[i];
-            }
-        }
-        panic("SRRIP victim scan did not converge");
-    }
-
-    // ...then the LRU line among frames the block fits in (Fit-LRU).
-    return lru_.lruWay(set, begin, end, fits);
+    panic("SRRIP victim scan did not converge");
 }
 
 void
@@ -216,32 +229,15 @@ HybridLlc::evict(std::uint32_t set, std::uint32_t way)
 
 void
 HybridLlc::writeLine(std::uint32_t set, std::uint32_t way, Addr block,
-                     bool dirty, unsigned ecb)
+                     bool dirty, unsigned ecb, ReuseClass reuse)
 {
-    // Byte attribution for the write-traffic breakdown studies.
-    if (isNvmWay(way)) {
-        Counter *bucket;
-        switch (tracker_.classOf(block)) {
-          case ReuseClass::None:
-            bucket = dirty ? ctr_.nvmBytesNoneDirty
-                           : ctr_.nvmBytesNoneClean;
-            break;
-          case ReuseClass::Read:
-            bucket = ctr_.nvmBytesRead;
-            break;
-          default:
-            bucket = ctr_.nvmBytesWriteReuse;
-            break;
-        }
-        *bucket += storedSize(way, ecb);
-    }
     const std::size_t i = index(set, way);
     HLLC_ASSERT(!valid_[i], "writeLine over a live resident");
 
     const unsigned stored = storedSize(way, ecb);
-    HLLC_ASSERT(frameCapacity(set, way) >= stored,
-                "block (%u B) does not fit frame (%u B)",
-                stored, frameCapacity(set, way));
+    HLLC_ASSERT(fitTest(set, ecb)(way),
+                "block (%u B) does not fit frame %u of set %u", stored,
+                way, set);
 
     tags_[i] = block;
     valid_[i] = 1;
@@ -251,6 +247,19 @@ HybridLlc::writeLine(std::uint32_t set, std::uint32_t way, Addr block,
     lru_.touch(set, way);
 
     if (isNvmWay(way)) {
+        // Byte attribution for the write-traffic breakdown studies.
+        switch (reuse) {
+          case ReuseClass::None:
+            *(dirty ? ctr_.nvmBytesNoneDirty : ctr_.nvmBytesNoneClean) +=
+                stored;
+            break;
+          case ReuseClass::Read:
+            *ctr_.nvmBytesRead += stored;
+            break;
+          case ReuseClass::Write:
+            *ctr_.nvmBytesWriteReuse += stored;
+            break;
+        }
         faultMap_->recordWrite(frameOf(set, way), stored);
         ++*ctr_.nvmWrites;
         *ctr_.nvmBytesWritten += stored;
@@ -291,7 +300,8 @@ HybridLlc::migrateToNvm(std::uint32_t set, std::uint32_t way)
         probe_->onMigrateFree(set, way, block);
 
     evict(set, static_cast<std::uint32_t>(nvm_way));
-    writeLine(set, static_cast<std::uint32_t>(nvm_way), block, dirty, ecb);
+    writeLine(set, static_cast<std::uint32_t>(nvm_way), block, dirty, ecb,
+              ReuseClass::Read);
     ++*ctr_.migrationsToNvm;
 }
 
@@ -301,9 +311,9 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
     const std::uint32_t set = setOf(block);
     const unsigned cpth = dueling_ ? dueling_->cpthForSet(set)
                                    : config_.params.fixedCpth;
+    const ReuseTracker::Entry reuse = tracker_.lookup(block);
     const InsertContext ctx{
-        block, dirty, ecb, tracker_.classOf(block),
-        tracker_.hitsOf(block), set, cpth,
+        block, dirty, ecb, reuse.reuse, reuse.hits, set, cpth,
     };
 
     // Insertion-mix accounting (motivation studies / debugging).
@@ -332,26 +342,24 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
             return;
         }
         evict(set, static_cast<std::uint32_t>(way));
-        writeLine(set, static_cast<std::uint32_t>(way), block, dirty, ecb);
+        writeLine(set, static_cast<std::uint32_t>(way), block, dirty, ecb,
+                  ctx.reuse);
         return;
     }
 
-    Part part = policy_.choosePart(ctx);
-
-    if (part == Part::Nvm) {
+    if (policy_.choosePart(ctx) == Part::Nvm) {
         const int way = config_.nvmWays == 0
             ? -1
             : victimWay(set, config_.sramWays, ways_, ecb);
         if (way >= 0) {
             evict(set, static_cast<std::uint32_t>(way));
             writeLine(set, static_cast<std::uint32_t>(way), block, dirty,
-                      ecb);
+                      ecb, ctx.reuse);
             return;
         }
         // Doesn't fit in any NVM frame of the set: fall back to SRAM
         // (paper Sec. IV-B).
         ++*ctr_.insertNvmFallbackSram;
-        part = Part::Sram;
     }
 
     if (config_.sramWays == 0) {
@@ -363,16 +371,12 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
         return;
     }
 
-    // SRAM insertion. Look for an empty way first.
-    int way = -1;
-    for (std::uint32_t w = 0; w < config_.sramWays; ++w) {
-        if (!valid_[index(set, w)]) {
-            way = static_cast<int>(w);
-            break;
-        }
-    }
-
-    if (way < 0) {
+    // SRAM insertion: the first empty way, else the LRU one (SRAM ways
+    // take any block, and the SRAM part is LRU under either replacement).
+    const int lru_way = fitLruWay(set, 0, config_.sramWays, ecb);
+    HLLC_ASSERT(lru_way >= 0);
+    auto way = static_cast<std::uint32_t>(lru_way);
+    if (valid_[index(set, way)]) {
         if (policy_.lhybridSramReplacement()) {
             // LHybrid: migrate the MRU loop-block to NVM to free a frame;
             // otherwise evict the LRU (paper Sec. II-C).
@@ -385,30 +389,20 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
                                            ReuseClass::Read;
                             });
             if (lb_way >= 0) {
-                migrateToNvm(set, static_cast<std::uint32_t>(lb_way));
-                way = lb_way;
-            } else {
-                way = lru_.lruWay(set, 0, config_.sramWays,
-                                  [](std::uint32_t) { return true; });
+                way = static_cast<std::uint32_t>(lb_way);
+                migrateToNvm(set, way);
             }
-        } else {
-            way = lru_.lruWay(set, 0, config_.sramWays,
-                              [](std::uint32_t) { return true; });
-            HLLC_ASSERT(way >= 0);
-            const std::size_t vi =
-                index(set, static_cast<std::uint32_t>(way));
-            if (policy_.migrateReadReuseOnSramEviction() && valid_[vi] &&
-                tracker_.classOf(tags_[vi]) == ReuseClass::Read) {
-                // CA_RWR: a read-reused SRAM victim moves to NVM instead
-                // of leaving the LLC (paper Sec. IV-B).
-                migrateToNvm(set, static_cast<std::uint32_t>(way));
-            }
+        } else if (policy_.migrateReadReuseOnSramEviction() &&
+                   tracker_.classOf(tags_[index(set, way)]) ==
+                       ReuseClass::Read) {
+            // CA_RWR: a read-reused SRAM victim moves to NVM instead of
+            // leaving the LLC (paper Sec. IV-B).
+            migrateToNvm(set, way);
         }
     }
 
-    HLLC_ASSERT(way >= 0);
-    evict(set, static_cast<std::uint32_t>(way));
-    writeLine(set, static_cast<std::uint32_t>(way), block, dirty, ecb);
+    evict(set, way);
+    writeLine(set, way, block, dirty, ecb, ctx.reuse);
 }
 
 AccessOutcome
@@ -497,7 +491,7 @@ HybridLlc::onPut(Addr block, bool dirty, unsigned ecb_bytes)
         // A dirty Put over a (stale) resident copy rewrites it in place
         // when the frame still fits the new contents.
         const unsigned stored = storedSize(uway, ecb_bytes);
-        if (frameCapacity(set, uway) >= stored) {
+        if (fitTest(set, ecb_bytes)(uway)) {
             dirty_[i] = 1;
             ecb_[i] = static_cast<std::uint8_t>(ecb_bytes);
             if (isNvmWay(uway)) {
@@ -602,10 +596,7 @@ HybridLlc::revalidateAgainstFaultMap()
     for (std::uint32_t set = 0; set < config_.numSets; ++set) {
         for (std::uint32_t w = config_.sramWays; w < ways_; ++w) {
             const std::size_t i = index(set, w);
-            if (!valid_[i])
-                continue;
-            const unsigned stored = storedSize(w, ecb_[i]);
-            if (frameCapacity(set, w) < stored) {
+            if (valid_[i] && !fitTest(set, ecb_[i])(w)) {
                 valid_[i] = 0;
                 dirty_[i] = 0;
                 ++*ctr_.agedOut;

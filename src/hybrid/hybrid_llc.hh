@@ -15,14 +15,28 @@
  * byte deposited in an NVM frame is recorded against the fault map for
  * the forecast's aging phases.
  *
- * Implementation notes for the replay hot path: the tag store is kept as
- * structure-of-arrays (tags / valid / dirty / ecb / rrpv in separate
- * flat vectors) so the per-access findWay() scan touches one contiguous
- * tag row instead of striding over 24-byte line records; every stats
- * counter the event paths bump is resolved to a Counter pointer once at
- * construction (std::map nodes are pointer-stable) so no per-event
- * string-keyed map lookups remain; and the insertion policy is held by
- * value, so its steering switch and trait reads inline into insert().
+ * Implementation notes for the replay hot path. A set's 16 ways fit in
+ * L1, so an event's cost is the work it repeats and the branches it
+ * mispredicts, not memory; each event does each piece of work once:
+ *  - The tag store is structure-of-arrays (tags / valid / dirty / ecb /
+ *    rrpv in separate flat vectors), so findWay() reads one contiguous
+ *    tag row, with no data-dependent branch.
+ *  - An insertion probes the ReuseTracker once (lookup() gives the reuse
+ *    class and the hit count) and hands the class on to writeLine().
+ *  - Fit-LRU is one branch-free pass over the set (fitLruWay()): an
+ *    empty way ranks 0 and a valid one by its LRU stamp, and the
+ *    smallest LruState::scanKey() of rank and way picks the first empty
+ *    way that fits, else the LRU one that fits. The SRAM part takes the
+ *    same pass (every SRAM way fits).
+ *  - The fit test (fitTest(), shared by Fit-LRU, Fit-SRRIP and the
+ *    in-place and revalidation checks) reads the set's row of the fault
+ *    map's live-byte counts. No capacity is copied into the LLC: aging,
+ *    fault injection and tests kill bytes while an LLC is live, and a
+ *    copy would go stale.
+ *  - Every stats counter the event paths bump is resolved to a Counter
+ *    pointer once at construction (std::map nodes are pointer-stable).
+ *  - The insertion policy is held by value, so its steering switch and
+ *    trait reads inline into insert().
  */
 
 #ifndef HLLC_HYBRID_HYBRID_LLC_HH
@@ -245,26 +259,76 @@ class HybridLlc
         return set * config_.nvmWays + (way - config_.sramWays);
     }
 
-    /** Effective capacity of (set, way): 64 for SRAM, live bytes for NVM. */
-    unsigned frameCapacity(std::uint32_t set, std::uint32_t way) const;
+    /** Bytes a block of ECB size @p ecb occupies in an NVM frame. */
+    unsigned
+    nvmStoredSize(unsigned ecb) const
+    {
+        // NVM stores the ECB when the policy compresses, raw frames
+        // otherwise.
+        return policy_.usesCompression() ? ecb : blockBytes;
+    }
 
     /** Bytes a block of ECB size @p ecb occupies in @p way. */
     unsigned
     storedSize(std::uint32_t way, unsigned ecb) const
     {
-        // SRAM stores blocks uncompressed; NVM stores the ECB when the
-        // policy compresses, raw frames otherwise.
-        if (isNvmWay(way) && policy_.usesCompression())
-            return ecb;
-        return blockBytes;
+        // SRAM stores blocks uncompressed.
+        return isNvmWay(way) ? nvmStoredSize(ecb) : blockBytes;
+    }
+
+    /**
+     * Whether a block fits the ways of one set: an SRAM way takes any
+     * block, an NVM frame one that its live bytes cover.
+     */
+    struct FitTest
+    {
+        std::uint32_t sramWays;
+        unsigned need;            //!< bytes the block takes in NVM
+        const std::uint8_t *live; //!< the set's NVM live-byte counts
+
+        /** Whether NVM way @p way (>= sramWays) holds the block. */
+        bool
+        nvmFits(std::uint32_t way) const
+        {
+            return live[way - sramWays] >= need;
+        }
+
+        bool
+        operator()(std::uint32_t way) const
+        {
+            return way < sramWays || nvmFits(way);
+        }
+    };
+
+    /**
+     * The fit test of @p set for a block of ECB size @p ecb, over the
+     * set's row of the fault map's live counts as they are now.
+     */
+    FitTest
+    fitTest(std::uint32_t set, unsigned ecb) const
+    {
+        const std::uint32_t sram = config_.sramWays;
+        return { sram, nvmStoredSize(ecb),
+                 config_.nvmWays == 0
+                     ? nullptr
+                     : faultMap_->liveBytesRow(frameOf(set, sram)) };
     }
 
     int findWay(std::uint32_t set, Addr block) const;
 
     /**
-     * Victim way for an incoming block needing @p ecb bytes among ways
-     * [begin, end): an invalid way with enough capacity if one exists,
-     * else the LRU valid way with enough capacity ((Fit-)LRU). -1 when
+     * Fit-LRU among ways [begin, end) for a block of ECB size @p ecb:
+     * the first empty way that fits, else the least recently used valid
+     * way that fits (lowest index on ties). -1 when nothing fits.
+     */
+    int fitLruWay(std::uint32_t set, std::uint32_t begin,
+                  std::uint32_t end, unsigned ecb) const;
+
+    /**
+     * Victim way for an incoming block of ECB size @p ecb among ways
+     * [begin, end) under the configured replacement: Fit-LRU, or
+     * Fit-SRRIP (the first empty way that fits, else the first fitting
+     * line predicted distant, ageing RRPVs until one is). -1 when
      * nothing fits.
      */
     int victimWay(std::uint32_t set, std::uint32_t begin,
@@ -273,13 +337,18 @@ class HybridLlc
     /** Evict the resident of (set, way); dirty residents write back. */
     void evict(std::uint32_t set, std::uint32_t way);
 
-    /** Deposit a block into (set, way), recording NVM wear. */
+    /**
+     * Deposit a block of reuse class @p reuse into (set, way), recording
+     * NVM wear and its byte attribution.
+     */
     void writeLine(std::uint32_t set, std::uint32_t way, Addr block,
-                   bool dirty, unsigned ecb);
+                   bool dirty, unsigned ecb, ReuseClass reuse);
 
     /**
-     * Migrate the resident of SRAM way (set, way) into the NVM part.
-     * Falls back to a plain eviction when no NVM frame fits.
+     * Migrate the read-reused resident of SRAM way (set, way) into the
+     * NVM part (only read-reused blocks migrate: LHybrid loop-blocks and
+     * CA_RWR read-reuse victims). Falls back to a plain eviction when no
+     * NVM frame fits.
      */
     void migrateToNvm(std::uint32_t set, std::uint32_t way);
 

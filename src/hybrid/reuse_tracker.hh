@@ -9,8 +9,8 @@
  * TAP's thrashing classification needs.
  *
  * The store is a flat open-addressing table (linear probing,
- * backward-shift deletion) rather than std::unordered_map: classOf() and
- * hitsOf() run for every insertion and onLlcHit()/onMemoryFetch() for
+ * backward-shift deletion) rather than std::unordered_map: lookup() runs
+ * once for every insertion and onLlcHit()/onMemoryFetch() for
  * every demand access, so the per-event lookup must be one hash, one
  * probe run over a contiguous array and no node allocation. Behaviour is
  * fully deterministic (probe order depends only on the key sequence),
@@ -34,22 +34,29 @@ class ReuseTracker
   public:
     ReuseTracker() : slots_(initialSlots) {}
 
-    /** Reuse class of @p block (None if never seen). */
-    ReuseClass
-    classOf(Addr block) const
+    /** What the tracker knows of one block. */
+    struct Entry
+    {
+        ReuseClass reuse = ReuseClass::None;
+        /** LLC hits since the block's last memory fetch. */
+        unsigned hits = 0;
+    };
+
+    /**
+     * Reuse class and hit count of @p block from one probe (a default
+     * Entry if never seen): the insertion path needs both.
+     */
+    Entry
+    lookup(Addr block) const
     {
         const Slot *s = find(block);
-        return s == nullptr ? ReuseClass::None
-                            : static_cast<ReuseClass>(s->reuse);
+        return s == nullptr
+            ? Entry{}
+            : Entry{ static_cast<ReuseClass>(s->reuse), s->hits };
     }
 
-    /** LLC hits accumulated by @p block since its last memory fetch. */
-    unsigned
-    hitsOf(Addr block) const
-    {
-        const Slot *s = find(block);
-        return s == nullptr ? 0 : s->hits;
-    }
+    /** Reuse class of @p block (None if never seen). */
+    ReuseClass classOf(Addr block) const { return lookup(block).reuse; }
 
     /**
      * An LLC hit reclassifies the block: GetX hits and hits on dirty

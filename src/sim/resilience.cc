@@ -263,7 +263,9 @@ failureReportToJson(const std::vector<CellReport> &cells)
         for (std::size_t f = 0; f < cell.failpoints.size(); ++f) {
             if (f > 0)
                 out += ", ";
-            out += "\"" + jsonEscape(cell.failpoints[f]) + "\"";
+            out += '"';
+            out += jsonEscape(cell.failpoints[f]);
+            out += '"';
         }
         out += "]}";
     }

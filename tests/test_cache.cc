@@ -33,8 +33,29 @@ TEST(Lru, UntouchedWaysWinVictimScan)
     lru.touch(0, 0);
     lru.touch(0, 2);
     const auto any = [](std::uint32_t) { return true; };
-    const int victim = lru.lruWay(0, 0, 4, any);
-    EXPECT_TRUE(victim == 1 || victim == 3);
+    // Ways 1 and 3 tie at stamp 0: the lowest index wins.
+    EXPECT_EQ(lru.lruWay(0, 0, 4, any), 1);
+    EXPECT_EQ(lru.lruWay(0, 2, 4, any), 3);
+}
+
+TEST(Lru, MruScanSeesNeverTouchedWaysAndReportsNone)
+{
+    LruState lru(1, 4);
+    lru.touch(0, 0);
+    lru.touch(0, 2);
+    // A never-touched way (stamp 0) is returned when it is the only
+    // eligible one.
+    EXPECT_EQ(lru.mruWay(0, 0, 4, [](std::uint32_t w) { return w == 3; }),
+              3);
+    // Ties at stamp 0 go to the lowest index.
+    EXPECT_EQ(lru.mruWay(0, 0, 4, [](std::uint32_t w) { return w % 2; }),
+              1);
+    EXPECT_EQ(lru.mruWay(0, 0, 4, [](std::uint32_t) { return false; }),
+              -1);
+    EXPECT_EQ(lru.mruWay(0, 1, 1, [](std::uint32_t) { return true; }),
+              -1);
+    // A touched way outranks never-touched ones.
+    EXPECT_EQ(lru.mruWay(0, 0, 2, [](std::uint32_t) { return true; }), 0);
 }
 
 TEST(Lru, PredicateRestrictsScan)

@@ -94,37 +94,68 @@ counterDigest(const PhaseSummary &summary)
 
 TEST(ExperimentPhase, PinnedAggregateAndCounters)
 {
-    // Recorded before fault maps stopped sampling an endurance fabric:
-    // replay-only phases must not depend on the limits they never read.
+    // Recorded before fault maps stopped sampling an endurance fabric
+    // (BH, CP_SD) and before the Fit-LRU victim search became one pass
+    // (the rest): replay-only phases must not depend on the limits they
+    // never read, and each policy's replacement path (global Fit-LRU
+    // over degraded frames, LHybrid's MRU migration, TAP's hit count,
+    // CP_SD_Th's trade-off rule) must keep its decisions.
+    hybrid::PolicyParams th8;
+    th8.thPercent = 8.0;
     struct Pin
     {
         PolicyKind policy;
+        hybrid::PolicyParams params;
         double capacity;
         std::uint64_t demandHits, demandAccesses, nvmBytesWritten;
         double meanIpc, hitRate, measuredSeconds;
         std::uint64_t counters;
     };
     const Pin pins[] = {
-        { PolicyKind::Bh, 1.0, 21561, 36177, 1016384,
+        { PolicyKind::Bh, {}, 1.0, 21561, 36177, 1016384,
           0.55654488299640836, 0.59598640019902149,
           0.00015209514285714285, 6292925075075169362ULL },
-        { PolicyKind::Bh, 0.75, 17982, 36177, 1027968,
+        { PolicyKind::Bh, {}, 0.75, 17982, 36177, 1027968,
           0.51228907931998158, 0.49705614064184428,
           0.00016605599999999998, 16661478081618540882ULL },
-        { PolicyKind::CpSd, 1.0, 19873, 36177, 330297,
+        { PolicyKind::CpSd, {}, 1.0, 19873, 36177, 330297,
           0.53391126742397255, 0.54932692041905073,
           0.00015703199999999998, 7574167530592955022ULL },
-        { PolicyKind::CpSd, 0.75, 17871, 36177, 192780,
+        { PolicyKind::CpSd, {}, 0.75, 17871, 36177, 192780,
           0.50663453871935626, 0.49398789286010447,
           0.00016478142857142858, 18413882033631981398ULL },
+        { PolicyKind::BhCp, {}, 1.0, 21561, 36177, 617729,
+          0.55654488299640836, 0.59598640019902149,
+          0.00015209514285714285, 10583048043300765624ULL },
+        { PolicyKind::BhCp, {}, 0.75, 20954, 36177, 297026,
+          0.54654791219175447, 0.57920778395112915,
+          0.00015370457142857143, 15241092294010278264ULL },
+        { PolicyKind::LHybrid, {}, 1.0, 13093, 36177, 76096,
+          0.45424361397194196, 0.36191502888575616,
+          0.00018279742857142857, 11861192814219513989ULL },
+        { PolicyKind::LHybrid, {}, 0.75, 13010, 36177, 76544,
+          0.45346851412496181, 0.35962075351742823,
+          0.00018312542857142858, 13668763761320954367ULL },
+        { PolicyKind::Tap, {}, 1.0, 7033, 36177, 9472,
+          0.402051696151767, 0.19440528512590874,
+          0.00020641057142857142, 605516588933855174ULL },
+        { PolicyKind::Tap, {}, 0.75, 7033, 36177, 9472,
+          0.402051696151767, 0.19440528512590874,
+          0.00020641057142857142, 605516588933855174ULL },
+        { PolicyKind::CpSdTh, th8, 1.0, 19448, 36177, 244367,
+          0.52640533574983306, 0.53757912485833537,
+          0.00015864542857142857, 3983060658691471943ULL },
+        { PolicyKind::CpSdTh, th8, 0.75, 17719, 36177, 171375,
+          0.50437796794551082, 0.48978632833015451,
+          0.00016533457142857143, 185053342796890110ULL },
     };
     const auto &cfg = experiment().config();
     for (const Pin &pin : pins) {
         const PhaseSummary s = experiment().runPhase(
-            cfg.llcConfig(pin.policy), "pin", pin.capacity);
+            cfg.llcConfig(pin.policy, pin.params), "pin", pin.capacity);
         SCOPED_TRACE(testing::Message()
-                     << static_cast<int>(pin.policy) << " @ "
-                     << pin.capacity);
+                     << hybrid::policyName(pin.policy) << " Th "
+                     << pin.params.thPercent << " @ " << pin.capacity);
         EXPECT_EQ(s.aggregate.demandHits, pin.demandHits);
         EXPECT_EQ(s.aggregate.demandAccesses, pin.demandAccesses);
         EXPECT_EQ(s.aggregate.nvmBytesWritten, pin.nvmBytesWritten);

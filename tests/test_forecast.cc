@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "forecast/forecast.hh"
 #include "hierarchy/hierarchy.hh"
 #include "workload/mixes.hh"
@@ -66,6 +70,136 @@ TEST(AgingStep, StepScalesInverselyWithRate)
     const Seconds s_slow = chooseAgingStep(slow, endurance, 1.0, config);
     const Seconds s_fast = chooseAgingStep(fast, endurance, 1.0, config);
     EXPECT_NEAR(s_slow / s_fast, 10.0, 1.0);
+}
+
+/**
+ * The step by full selection: every written live byte's time-to-failure
+ * in one vector, then nth_element. chooseAgingStep must return exactly
+ * this value.
+ */
+Seconds
+referenceAgingStep(const fault::FaultMap &map,
+                   const fault::EnduranceModel &endurance,
+                   Seconds window_seconds, const AgingStepConfig &config)
+{
+    const auto &g = map.geometry();
+    std::vector<double> ttf;
+    for (std::uint32_t f = 0; f < g.numFrames(); ++f) {
+        const double pending = map.pendingWrites(f);
+        const unsigned live = map.liveBytes(f);
+        if (pending <= 0.0 || live == 0)
+            continue;
+        const double rate = pending / (live * window_seconds);
+        for (unsigned b = 0; b < g.frameBytes; ++b) {
+            if (!(map.liveMask(f) & (std::uint64_t{1} << b)))
+                continue;
+            const double remaining =
+                endurance.limit(f, b) - map.writesSoFar(f, b);
+            ttf.push_back(remaining <= 0.0 ? 0.0 : remaining / rate);
+        }
+    }
+    double fraction = config.targetKillFraction;
+    if (map.granularity() == fault::DisableGranularity::Frame)
+        fraction /= g.frameBytes;
+    const std::size_t k = std::max<std::size_t>(
+        1, static_cast<std::size_t>(fraction *
+                                    static_cast<double>(g.numBytes())));
+    if (k >= ttf.size())
+        return config.maxStep;
+    std::nth_element(ttf.begin(), ttf.begin() + (k - 1), ttf.end());
+    return std::clamp(ttf[k - 1], config.minStep, config.maxStep);
+}
+
+TEST(AgingStep, MatchesFullSelectionExactlyAsMapsAge)
+{
+    // No clamping: the selected time-to-failure itself is compared.
+    AgingStepConfig config;
+    config.minStep = 0.0;
+    config.maxStep = std::numeric_limits<double>::infinity();
+    for (const auto granularity : { fault::DisableGranularity::Byte,
+                                    fault::DisableGranularity::Frame }) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << "frame disabling "
+                         << (granularity == fault::DisableGranularity::Frame)
+                         << ", seed " << seed);
+            const fault::EnduranceModel endurance(
+                geom(), { 2000.0, 0.3 }, Xoshiro256StarStar(seed));
+            fault::FaultMap map(geom(), granularity);
+            Xoshiro256StarStar rng(seed + 100);
+            for (int round = 0; round < 6; ++round) {
+                // Uneven traffic: some frames idle, others written with
+                // random block sizes and counts.
+                for (std::uint32_t f = 0; f < geom().numFrames(); ++f) {
+                    if (!rng.nextBool(0.7))
+                        continue;
+                    const auto writes = 1 + rng.nextBounded(20);
+                    for (std::uint64_t w = 0; w < writes; ++w)
+                        map.recordWrite(
+                            f, 2 + static_cast<unsigned>(
+                                       rng.nextBounded(63)));
+                }
+                const Seconds window = 1e-3 * (round + 1);
+                const Seconds step =
+                    chooseAgingStep(map, endurance, window, config);
+                EXPECT_EQ(step, referenceAgingStep(map, endurance, window,
+                                                   config));
+                EXPECT_LT(step, config.maxStep);
+                map.age(endurance, step / window);
+            }
+            // The rounds killed bytes, so later steps saw holes in the
+            // live masks.
+            EXPECT_LT(map.effectiveCapacity(), 0.95);
+        }
+    }
+}
+
+TEST(AgingStep, NoMoreWrittenBytesThanKGivesMaxStep)
+{
+    // Byte disabling over geom(): k = 2% of 24576 bytes = 491.
+    const fault::EnduranceModel endurance(
+        geom(), { 1e6, 0.2 }, Xoshiro256StarStar(4));
+    AgingStepConfig config;
+    config.minStep = 0.0;
+    fault::FaultMap map(geom(), fault::DisableGranularity::Byte);
+    EXPECT_EQ(chooseAgingStep(map, endurance, 1.0, config), config.maxStep);
+
+    // Eight written frames with 21 dead bytes: exactly k live bytes.
+    for (std::uint32_t f = 0; f < 8; ++f)
+        map.recordWrite(f, 64 * 1000);
+    for (unsigned b = 0; b < 21; ++b)
+        map.killByte(0, b);
+    EXPECT_EQ(chooseAgingStep(map, endurance, 1.0, config), config.maxStep);
+    EXPECT_EQ(referenceAgingStep(map, endurance, 1.0, config),
+              config.maxStep);
+
+    // One more written live byte: the step is the k-th smallest.
+    map.recordWrite(8, 64 * 1000);
+    for (unsigned b = 1; b < 64; ++b)
+        map.killByte(8, b);
+    const Seconds step = chooseAgingStep(map, endurance, 1.0, config);
+    EXPECT_LT(step, config.maxStep);
+    EXPECT_EQ(step, referenceAgingStep(map, endurance, 1.0, config));
+}
+
+TEST(AgingStep, ExhaustedBytesClampToMinStep)
+{
+    // cv = 10 truncates about half the limits to the 1-write floor. One
+    // leveled write per byte leaves those bytes live (a byte dies only
+    // above its limit) with nothing left to endure.
+    const fault::EnduranceModel endurance(
+        geom(), { 100.0, 10.0 }, Xoshiro256StarStar(3));
+    fault::FaultMap map(geom(), fault::DisableGranularity::Byte);
+    for (std::uint32_t f = 0; f < geom().numFrames(); ++f)
+        map.recordWrite(f, 64);
+    map.age(endurance, 1.0);
+    ASSERT_EQ(map.effectiveCapacity(), 1.0);
+    for (std::uint32_t f = 0; f < geom().numFrames(); ++f)
+        map.recordWrite(f, 64);
+    const AgingStepConfig config;
+    const Seconds step = chooseAgingStep(map, endurance, 1.0, config);
+    EXPECT_EQ(step, config.minStep);
+    EXPECT_EQ(step, referenceAgingStep(map, endurance, 1.0, config));
 }
 
 TEST(Lifetime, InterpolatesCrossing)

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "check/rig.hh"
 #include "compression/encoding.hh"
+#include "common/rng.hh"
 #include "hybrid/hybrid_llc.hh"
 
 namespace
@@ -222,6 +225,92 @@ TEST(HybridLlc, BhSkipsDeadFrames)
     EXPECT_FALSE(rig->contains(blk(2)));
 }
 
+/** Records the way of every fill and the number of bypasses. */
+struct FillLog : LlcProbe
+{
+    std::vector<std::uint32_t> ways;
+    unsigned bypasses = 0;
+
+    void
+    onFill(std::uint32_t, std::uint32_t way, Addr, bool, unsigned,
+           bool) override
+    {
+        ways.push_back(way);
+    }
+    void onBypass(Addr, bool) override { ++bypasses; }
+};
+
+TEST(HybridLlc, EmptyFittingWayBeatsValidOnesLowestIndexFirst)
+{
+    Rig rig = makeRig(PolicyKind::BhCp);
+    FillLog log;
+    rig->setProbe(&log);
+    for (unsigned i = 1; i <= 4; ++i)
+        rig->onPut(blk(i), false, 64);
+    EXPECT_EQ(log.ways, (std::vector<std::uint32_t>{ 0, 1, 2, 3 }));
+
+    // Way 1 empties with the newest stamp; it still beats the LRU
+    // valid way 0.
+    rig->onGetS(blk(2));
+    rig->onGetX(blk(2));
+    rig->onPut(blk(5), false, 64);
+    EXPECT_EQ(log.ways.back(), 1u);
+    EXPECT_TRUE(rig->contains(blk(1)));
+
+    // Ways 2 and 0 empty (in that order): the lowest index fills first.
+    rig->onGetX(blk(3));
+    rig->onGetX(blk(1));
+    rig->onPut(blk(6), false, 64);
+    rig->onPut(blk(7), false, 64);
+    EXPECT_EQ(log.ways, (std::vector<std::uint32_t>{ 0, 1, 2, 3, 1, 0, 2 }));
+    EXPECT_EQ(rig->stats().counterValue("evictions_sram") +
+                  rig->stats().counterValue("evictions_nvm"), 0u);
+    rig->setProbe(nullptr);
+}
+
+TEST(HybridLlc, FitLruSkipsTooSmallAndDeadEmptyFrames)
+{
+    Rig rig = makeRig(PolicyKind::BhCp);
+    FillLog log;
+    rig->setProbe(&log);
+    // NVM way 2 keeps 40 live bytes; NVM way 3 is dead.
+    for (unsigned b = 0; b < 24; ++b)
+        rig.map->killByte(rig.map->geometry().frameIndex(0, 0), b);
+    rig.map->killFrame(rig.map->geometry().frameIndex(0, 1));
+
+    rig->onPut(blk(1), false, 44);
+    rig->onPut(blk(2), false, 44);
+    // Both empty NVM frames are skipped: the LRU SRAM way (block 1) goes.
+    rig->onPut(blk(3), false, 44);
+    EXPECT_EQ(log.ways, (std::vector<std::uint32_t>{ 0, 1, 0 }));
+    EXPECT_FALSE(rig->contains(blk(1)));
+    // A 30-byte block fits the degraded frame, which is empty.
+    rig->onPut(blk(4), false, 30);
+    EXPECT_EQ(log.ways.back(), 2u);
+    EXPECT_EQ(rig->stats().counterValue("inserts_nvm"), 1u);
+    rig->setProbe(nullptr);
+}
+
+TEST(HybridLlc, BlockBypassesWhenNoFrameFits)
+{
+    // Global Fit-LRU with no SRAM: two NVM frames of 20 live bytes.
+    Rig rig = makeRig(PolicyKind::BhCp, 0, 2);
+    FillLog log;
+    rig->setProbe(&log);
+    for (unsigned w = 0; w < 2; ++w)
+        for (unsigned b = 0; b < 44; ++b)
+            rig.map->killByte(rig.map->geometry().frameIndex(0, w), b);
+    rig->onPut(blk(1), true, 30);
+    EXPECT_FALSE(rig->contains(blk(1)));
+    EXPECT_EQ(rig->stats().counterValue("bypasses"), 1u);
+    EXPECT_EQ(rig->stats().counterValue("writebacks_dirty"), 1u);
+    EXPECT_EQ(log.bypasses, 1u);
+    EXPECT_TRUE(log.ways.empty());
+    rig->onPut(blk(2), false, 20);
+    EXPECT_EQ(log.ways, (std::vector<std::uint32_t>{ 0 }));
+    rig->setProbe(nullptr);
+}
+
 TEST(HybridLlc, LHybridMigratesMruLoopBlock)
 {
     Rig rig = makeRig(PolicyKind::LHybrid);
@@ -347,6 +436,49 @@ TEST(HybridLlc, HitRateArithmetic)
     EXPECT_EQ(rig->demandAccesses(), 3u);
     EXPECT_EQ(rig->demandHits(), 1u);
     EXPECT_NEAR(rig->hitRate(), 1.0 / 3.0, 1e-12);
+}
+
+TEST(ReuseTracker, LookupAgreesWithClassOfAndAModel)
+{
+    struct Model
+    {
+        ReuseClass reuse = ReuseClass::None;
+        unsigned hits = 0;
+    };
+    constexpr std::uint64_t kBlocks = 6000;
+    std::unordered_map<Addr, Model> model;
+    ReuseTracker tracker;
+    const auto agrees = [&](Addr block) {
+        const ReuseTracker::Entry e = tracker.lookup(block);
+        const auto it = model.find(block);
+        const Model m = it == model.end() ? Model{} : it->second;
+        return e.reuse == tracker.classOf(block) && e.reuse == m.reuse &&
+               e.hits == m.hits;
+    };
+
+    Xoshiro256StarStar rng(7);
+    for (int step = 0; step < 40000; ++step) {
+        const Addr block = rng.nextBounded(kBlocks);
+        const auto op = rng.nextBounded(6);
+        if (op == 5) {
+            tracker.onMemoryFetch(block);
+            model.erase(block);
+        } else {
+            const bool getx = op == 1;
+            const bool dirty = op == 2;
+            tracker.onLlcHit(block, getx, dirty);
+            Model &m = model[block];
+            ++m.hits;
+            m.reuse = getx || dirty ? ReuseClass::Write : ReuseClass::Read;
+        }
+        ASSERT_TRUE(agrees(block)) << "block " << block << ", step " << step;
+        ASSERT_TRUE(agrees(rng.nextBounded(kBlocks)));
+    }
+    // The table grew well past its initial 1024 slots.
+    ASSERT_GT(tracker.size(), 2048u);
+    EXPECT_EQ(tracker.size(), model.size());
+    for (Addr block = 0; block < kBlocks; ++block)
+        ASSERT_TRUE(agrees(block)) << "block " << block;
 }
 
 } // namespace
